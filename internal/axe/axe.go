@@ -22,8 +22,10 @@ import (
 )
 
 // macMul is the multiplier plugged into the quantized MAC kernels. It is
-// a type parameter (not an interface field) so the per-product call
-// inlines into the inner accumulation loops.
+// a type parameter (not an interface field), so the exact and LUT kernels
+// share one implementation. The per-product call does not inline: Go
+// compiles the kernels once per GC shape and calls m.mul through the
+// generic dictionary (go build -gcflags='-m -m' ./internal/axe).
 type macMul interface {
 	// mul returns the (possibly approximate) product of two operand
 	// codes. Codes are ≤ 8 bits for LUT multipliers, ≤ 16 bits exact.

@@ -125,7 +125,7 @@ func TestFleetFaultSweepMatchesLocal(t *testing.T) {
 func TestSweepRejectsUnknownInjectorKind(t *testing.T) {
 	a := derived(t)
 	a.Opts.Noise = noise.Spec{Kind: "cosmic-ray"}
-	_, err := a.sweep(context.Background(), noise.ForGroup(noise.MACOutputs), 0.9, 1)
+	_, err := a.Sweep(context.Background(), noise.ForGroup(noise.MACOutputs), 0.9, 1)
 	if err == nil || !strings.Contains(err.Error(), noise.KindBitFlip) {
 		t.Fatalf("sweep with bad kind: err = %v, want the valid-kind list", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"redcane/internal/caps"
 	"redcane/internal/noise"
@@ -15,11 +14,13 @@ import (
 // counter-seeded function of (Options.Seed, seedBase, point, trial,
 // batch) — no state flows between jobs — so any process that can rebuild
 // the network and evaluation split can compute any batch window's counts
-// bit-identically. The Fleet interface hands contiguous batch windows to
-// such remote processes and streams their per-(point, trial) counts
-// back; the coordinator folds them in ascending window order through the
-// same checkpointed accumulator the local loop uses, which is what makes
-// an N-worker fleet's artifacts byte-identical to a single-process run.
+// bit-identically. A Fleet is the remote window source of the engine's
+// one fold: it hands contiguous batch windows to such processes, which
+// evaluate them through EvalWindow, and streams their per-(point, trial)
+// counts back; the fold takes them in any order and folds them in
+// ascending window order through the same checkpoint the local worker
+// pool feeds, which is what makes an N-worker fleet's artifacts
+// byte-identical to a single-process run.
 
 // SweepScope names a sweep's site filter in wire-friendly form: the
 // Table III group plus, for layer-wise sweeps, the layer. It is the
@@ -112,43 +113,22 @@ type Fleet interface {
 // same windowJobs path, so a fleet fold is bit-identical to a
 // single-process run.
 func (a *Analyzer) EvalWindow(ctx context.Context, scope SweepScope, seedBase uint64, b0, b1 int) ([]int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	a.Opts = a.Opts.WithDefaults()
-	o := a.Opts
-	if _, err := o.Noise.Normalize(); err != nil {
-		return nil, err
-	}
 	filter, err := scope.Filter()
 	if err != nil {
 		return nil, err
 	}
-	be, err := a.execBackend(caps.Float{})
+	p, err := a.sweepPlan(filter, seedBase)
 	if err != nil {
 		return nil, err
 	}
-	x, y := a.evalData()
-	n := x.Shape[0]
-	nb := (n + o.Batch - 1) / o.Batch
-	if b0 < 0 || b1 <= b0 || b1 > nb {
-		return nil, fmt.Errorf("window [%d, %d) out of range (nb=%d)", b0, b1, nb)
+	if b0 < 0 || b1 <= b0 || b1 > p.nb {
+		return nil, fmt.Errorf("window [%d, %d) out of range (nb=%d)", b0, b1, p.nb)
 	}
-	frontier := a.Net.InjectionFrontier(filter)
-	if nf := a.Net.BackendFrontier(be); nf < frontier {
-		frontier = nf
-	}
-	evals := sweepEvals(o)
-	jobCorrect, _, err := a.windowJobs(ctx, filter, evals, x, y, frontier, seedBase, b0, b1, nb, false, be)
+	jobCorrect, _, err := a.windowJobs(ctx, p, b0, b1, false)
 	if err != nil {
 		return nil, err
 	}
-	nbw := b1 - b0
-	out := make([]int, len(evals))
-	for j, c := range jobCorrect {
-		out[j/nbw] += c
-	}
-	return out, nil
+	return windowSums(jobCorrect, len(p.evals), b1-b0), nil
 }
 
 // SweepGrid returns the coordinator's view of a sweep's work grid under
@@ -163,120 +143,51 @@ func (a *Analyzer) SweepGrid() (evals, nb int) {
 }
 
 // sweepScoped runs one named sweep: through the fleet when the analyzer
-// has one, locally otherwise. The filter-based sweep entry points are
-// untouched — only the named group/layer sweeps of the methodology can
-// be distributed, because only they have wire-representable scopes.
+// has one, locally otherwise. Only the named group/layer sweeps of the
+// methodology can be distributed, because only they have
+// wire-representable scopes. Both sources feed the same fold and
+// checkpoint section, so a fleet run resumes a local checkpoint and vice
+// versa.
 func (a *Analyzer) sweepScoped(ctx context.Context, scope SweepScope, clean float64, seedBase uint64) ([]SweepPoint, error) {
 	filter, err := scope.Filter()
 	if err != nil {
 		return nil, err
 	}
 	if a.Fleet == nil {
-		return a.sweep(ctx, filter, clean, seedBase)
+		return a.Sweep(ctx, filter, clean, seedBase)
 	}
-	return a.sweepFleet(ctx, scope, clean, seedBase)
-}
-
-// sweepFleet is the coordinator side of a distributed sweep. It reuses
-// the local path's checkpoint format and key ("sweep-<seedBase>", prefix
-// of completed batches): windows may complete out of order, so results
-// are buffered and folded in ascending window order, each contiguous
-// prefix extension checkpointed exactly as the local loop would — a
-// coordinator restart resumes after the last contiguous window, and a
-// fleet run can resume a local checkpoint (and vice versa).
-func (a *Analyzer) sweepFleet(ctx context.Context, scope SweepScope, clean float64, seedBase uint64) ([]SweepPoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := a.Opts
-	x, _ := a.evalData()
-	n := x.Shape[0]
-	nb := (n + o.Batch - 1) / o.Batch
-	evals := sweepEvals(o)
-	correct := make([]int, len(evals))
 	if a.Probes != nil {
 		// Probe recorders live on the workers' passes and never travel the
 		// wire; a distributed sweep records no probe stats.
 		a.Obs.Warn("probes are not collected over a fleet", obs.F("sweep", scope.String()))
 	}
-
-	ckey := fmt.Sprintf("sweep-%d", seedBase)
-	startBatch := 0
-	if a.Checkpoint != nil {
-		var st sweepState
-		if a.Checkpoint.Get(ckey, &st) && len(st.Correct) == len(evals) &&
-			st.BatchesDone >= 0 && st.BatchesDone <= nb {
-			copy(correct, st.Correct)
-			startBatch = st.BatchesDone
-			if st.Done {
-				startBatch = nb
-			}
-			a.Obs.Info("fleet sweep resumed from checkpoint",
-				obs.F("sweep", ckey),
-				obs.F("batches", fmt.Sprintf("%d/%d", startBatch, nb)))
-		}
+	p, err := a.sweepPlan(filter, seedBase)
+	if err != nil {
+		return nil, err
 	}
-
-	if startBatch < nb {
+	correct, err := a.fold(ctx, p, func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
 		job := SweepJob{
-			Key: ckey, SeedBase: seedBase, Scope: scope,
-			Opts: o, Evals: len(evals), NB: nb, Examples: n, Window: 1,
+			Key: p.key, SeedBase: p.seedBase, Scope: scope,
+			Opts: a.Opts, Evals: len(p.evals), NB: p.nb, Examples: p.n, Window: 1,
 		}
-		start := time.Now()
-		a.Obs.Counter("sweep.sweeps").Inc()
 		a.Obs.Info("sweep distributed to fleet",
-			obs.F("sweep", ckey), obs.F("scope", scope.String()),
-			obs.F("windows", nb-startBatch), obs.F("evals", len(evals)))
-		ch, err := a.Fleet.RunSweep(ctx, job, startBatch)
+			obs.F("sweep", p.key), obs.F("scope", scope.String()),
+			obs.F("windows", p.nb-start), obs.F("evals", len(p.evals)))
+		ch, err := a.Fleet.RunSweep(ctx, job, start)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// Fold in ascending window order, buffering early arrivals, so the
-		// checkpoint is always a contiguous batch prefix.
-		pending := map[int]WindowResult{}
-		next := startBatch
 		for res := range ch {
-			if len(res.Correct) != len(evals) {
-				return nil, fmt.Errorf("fleet window [%d, %d) returned %d counts, want %d",
-					res.B0, res.B1, len(res.Correct), len(evals))
+			if len(res.Correct) != len(p.evals) {
+				return fmt.Errorf("fleet window [%d, %d) returned %d counts, want %d",
+					res.B0, res.B1, len(res.Correct), len(p.evals))
 			}
-			pending[res.B0] = res
-			for {
-				r, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				for i, c := range r.Correct {
-					correct[i] += c
-				}
-				next = r.B1
-				if a.Checkpoint != nil {
-					a.checkpointPut(ckey, sweepState{Correct: correct, BatchesDone: next, Done: next == nb})
-				}
-				if a.afterWindow != nil {
-					a.afterWindow(next, nb)
-				}
-			}
+			emit(res, nil)
 		}
-		if next < nb {
-			// The fleet closed the channel short of the full grid — the
-			// sweep was cancelled (coordinator drain/shutdown) or the fleet
-			// failed; the checkpoint holds the folded prefix either way.
-			if err := ctx.Err(); err != nil {
-				a.Obs.Warn("fleet sweep cancelled",
-					obs.F("sweep", ckey),
-					obs.F("batches", fmt.Sprintf("%d/%d", next, nb)))
-				return nil, err
-			}
-			return nil, fmt.Errorf("fleet sweep %s incomplete: %d/%d batches folded", ckey, next, nb)
-		}
-		dur := time.Since(start)
-		a.Obs.Timer("sweep.duration").Observe(dur)
-		a.Obs.Debug("fleet sweep complete",
-			obs.F("sweep", ckey), obs.F("windows", nb-startBatch),
-			obs.F("dur", dur.Round(time.Millisecond)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	return assemblePoints(o, correct, clean, n), nil
+	return assemblePoints(a.Opts, correct, clean, p.n), nil
 }

@@ -12,18 +12,19 @@ import (
 )
 
 // This file aggregates the numeric-health probes (caps.ProbeRecorder)
-// collected by the sweep engine into a reportable artifact. The probes
-// are opt-in (Analyzer.Probes == nil keeps every evaluation untouched)
-// and provably inert: the probed classification pass is the result pass
-// — the decorator returns outputs unchanged — so reports and
-// checkpoints are byte-identical with probing on or off. Aggregation is
-// deterministic: per-job recorders are merged in ascending job index
-// within each batch window, windows ascend, and layers keep forward
-// order, so every float sum is bit-identical across worker counts.
+// collected by the engine into a reportable artifact. The probes are
+// opt-in (Analyzer.Probes == nil keeps every evaluation untouched) and
+// provably inert: the probed classification pass is the result pass —
+// the decorator returns outputs unchanged — so reports and checkpoints
+// are byte-identical with probing on or off. Aggregation is
+// deterministic: a fold buffers each job's per-layer stats and merges
+// them in one fixed order — evaluations ascending, and within one every
+// batch ascending — with layers in forward order, so every float sum is
+// bit-identical across worker counts and window layouts.
 //
-// Probe data is never checkpointed. A sweep resumed from a checkpoint
-// only probes the windows it actually re-runs; the emitted stats then
-// cover the un-resumed remainder (the engine warns in that case).
+// Probe data is never checkpointed. A fold resumed from a checkpoint only
+// probes the windows it actually re-runs; the emitted stats then cover
+// the un-resumed remainder (the engine warns in that case).
 
 // ProbeLayer is the emitted numeric health of one layer at one sweep
 // point. SQNRdB is clamped to ±caps.SQNRClampDB (JSON cannot carry
@@ -198,4 +199,37 @@ func (p *probeAccum) emit() []ProbeLayer {
 		out[i] = pl
 	}
 	return out
+}
+
+// recordProbes merges a fold's buffered per-job stats (indexed
+// evaluation·nb + batch; nil for jobs that did not run here) into one
+// record per sweep point and adds it to the set.
+func (a *Analyzer) recordProbes(p *plan, stats [][]caps.ProbeLayerStats) {
+	accs := make([]*probeAccum, len(p.nms))
+	for j, st := range stats {
+		if st == nil {
+			continue
+		}
+		pi := p.evals[j/p.nb].pi
+		if accs[pi] == nil {
+			accs[pi] = newProbeAccum()
+		}
+		accs[pi].merge(st)
+	}
+	label := a.ProbeLabel
+	if label == "" {
+		label = p.key
+		if p.filter == nil {
+			label = "backend/" + p.be.Name()
+		}
+	}
+	swp := ProbeSweep{Label: label, Backend: p.be.Name()}
+	for pi, acc := range accs {
+		if acc != nil {
+			swp.Points = append(swp.Points, ProbePoint{NM: p.nms[pi], Layers: acc.emit()})
+		}
+	}
+	if len(swp.Points) > 0 {
+		a.Probes.add(swp)
+	}
 }

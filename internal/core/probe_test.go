@@ -37,6 +37,27 @@ func TestSweepProbesInert(t *testing.T) {
 	samePoints(t, "probes on vs off", want, got)
 	sameDirBytes(t, dirOff, dirOn)
 
+	// Backend evaluations too: same accuracy, same checkpoint bytes.
+	eval := func(a *Analyzer, dir string) float64 {
+		st, _ := resumeStore(t, dir, a.Opts)
+		a.Checkpoint = st
+		acc, err := a.EvalBackend(context.Background(), designBackend(t, a), "probe-inert")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
+	}
+	evalOff, evalOn := t.TempDir(), t.TempDir()
+	probed := derived(t)
+	probed.Probes = NewProbeSet()
+	if accOff, accOn := eval(derived(t), evalOff), eval(probed, evalOn); accOff != accOn {
+		t.Fatalf("backend accuracy %g with probes on, %g off", accOn, accOff)
+	}
+	sameDirBytes(t, evalOff, evalOn)
+	if len(probed.Probes.Sweeps()) != 1 {
+		t.Fatalf("backend eval recorded %d probe sweeps, want 1", len(probed.Probes.Sweeps()))
+	}
+
 	// And the probes actually recorded something useful.
 	sweeps := on.Probes.Sweeps()
 	if len(sweeps) != 1 || sweeps[0].Label != "groups/mac" || sweeps[0].Backend != "float" {
@@ -81,7 +102,7 @@ func sameDirBytes(t *testing.T, a, b string) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(da, db) {
-			t.Fatalf("checkpoint file %s differs with probes on", rel)
+			t.Fatalf("checkpoint file %s differs", rel)
 		}
 	}
 }
@@ -106,22 +127,37 @@ func listFiles(t *testing.T, root string) []string {
 }
 
 func TestSweepProbesWorkerInvariant(t *testing.T) {
-	// Probe aggregation merges per-job recorders in ascending job order,
-	// so the emitted stats — float sums included — must be bit-identical
-	// for any worker count.
-	filter := noise.ForGroup(noise.MACOutputs)
-	const clean = 0.9
-	run := func(workers int) []ProbeSweep {
+	// A fold merges per-job probe stats in one fixed order over the whole
+	// sweep, so the emitted stats — float sums included — must be
+	// bit-identical for any worker count and any window layout.
+	run := func(workers, mb int, eval func(*Analyzer)) []ProbeSweep {
 		a := derived(t)
 		a.Opts.Workers = workers
+		a.Opts.PrefixCacheMB = mb
 		a.Probes = NewProbeSet()
-		mustSweep(t, a, filter, clean, 13)
+		eval(a)
 		return a.Probes.Sweeps()
 	}
-	want := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d probe stats diverge:\n%+v\nvs\n%+v", workers, got, want)
+	sweep := func(g noise.Group) func(*Analyzer) {
+		return func(a *Analyzer) { mustSweep(t, a, noise.ForGroup(g), 0.9, 13) }
+	}
+	for name, eval := range map[string]func(*Analyzer){
+		"softmax sweep": sweep(noise.Softmax),
+		"mac sweep":     sweep(noise.MACOutputs),
+		"design eval": func(a *Analyzer) {
+			if _, err := a.EvalBackend(context.Background(), designBackend(t, a), "probe-workers"); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		want := run(1, 256, eval)
+		for _, mb := range []int{256, -1} {
+			for _, workers := range []int{1, 2, 8} {
+				if got := run(workers, mb, eval); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s, workers=%d, PrefixCacheMB=%d: probe stats diverge:\n%+v\nvs\n%+v",
+						name, workers, mb, got, want)
+				}
+			}
 		}
 	}
 }

@@ -300,16 +300,15 @@ type Analyzer struct {
 	// the methodology as leased batch windows instead of running them on
 	// this process's worker pool. Results are byte-identical either way:
 	// workers compute the same counter-seeded integer counts the local
-	// loop would, and the coordinator folds them in ascending window
-	// order through the same checkpoint. A nil Fleet keeps every sweep
-	// local.
+	// pool would, and the same fold takes them in ascending window order
+	// through the same checkpoint. A nil Fleet keeps every sweep local.
 	Fleet Fleet
 
 	sites  map[noise.Group][]noise.Site // Step 1 cache
 	pcache *prefixCache                 // sweep engine's whole-set clean-prefix cache
-	// afterWindow, when non-nil, runs after every completed (and
-	// checkpointed) sweep batch window — a test seam for deterministic
-	// mid-sweep interruption.
+	// afterWindow, when non-nil, runs after every folded (and
+	// checkpointed) batch window of a sweep or backend evaluation — a
+	// test seam for deterministic mid-run interruption.
 	afterWindow func(batchesDone, totalBatches int)
 }
 
@@ -445,6 +444,7 @@ func groupByName(name string) (noise.Group, bool) {
 // finished analysis persists under the "groups" section (each individual
 // sweep checkpoints its own windows) and later runs return it directly.
 func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupResult, error) {
+	a.Opts = a.Opts.WithDefaults()
 	o := a.Opts
 	if a.Checkpoint != nil {
 		var recs []ckptGroup
@@ -524,6 +524,7 @@ func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupRes
 // non-resilient group. A finished analysis persists under the "layers"
 // checkpoint section, mirroring AnalyzeGroups.
 func (a *Analyzer) AnalyzeLayers(ctx context.Context, groups []GroupResult, clean float64) ([]LayerResult, error) {
+	a.Opts = a.Opts.WithDefaults()
 	o := a.Opts
 	if a.Checkpoint != nil {
 		var recs []ckptLayer

@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"redcane/internal/axe"
+	"redcane/internal/caps"
 	"redcane/internal/checkpoint"
 	"redcane/internal/noise"
 	"redcane/internal/obs"
@@ -85,7 +88,7 @@ func TestSweepSurfacesWorkerPanicWithCoordinates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		a := derived(t)
 		a.Opts.Workers = workers
-		_, err := a.sweep(context.Background(), panicAfter(50), 0.9, 1)
+		_, err := a.Sweep(context.Background(), panicAfter(50), 0.9, 1)
 		var jp *JobPanicError
 		if !errors.As(err, &jp) {
 			t.Fatalf("workers=%d: error = %v, want *JobPanicError", workers, err)
@@ -106,6 +109,42 @@ func TestSweepSurfacesWorkerPanicWithCoordinates(t *testing.T) {
 	}
 }
 
+// votesPanic is a float backend whose class-capsule votes panic. It
+// marks every layer approximate, so its frontier is 0 and the panic fires
+// in an evaluation job, not in the clean prefix.
+type votesPanic struct{ caps.Float }
+
+func (votesPanic) Name() string            { return "votes-panic" }
+func (votesPanic) ApproxLayer(string) bool { return true }
+func (votesPanic) CapsVotes(string, *tensor.Tensor, *tensor.Tensor, *tensor.Scratch) *tensor.Tensor {
+	panic("votes exploded")
+}
+
+func TestEvalBackendSurfacesWorkerPanicWithSection(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		a := derived(t)
+		a.Opts.Workers = workers
+		_, nb := a.SweepGrid()
+		_, err := a.EvalBackend(context.Background(), votesPanic{}, "validate-panic")
+		var jp *JobPanicError
+		if !errors.As(err, &jp) {
+			t.Fatalf("workers=%d: error = %v, want *JobPanicError", workers, err)
+		}
+		if jp.Section != "validate-panic" || jp.Prefix || jp.Point != -1 || jp.Batch < 0 || jp.Batch >= nb {
+			t.Fatalf("workers=%d: coordinates = %+v", workers, jp)
+		}
+		msg := jp.Error()
+		for _, want := range []string{"validate-panic", "worker panic", "batch=", "votes exploded"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("workers=%d: error message missing %q: %s", workers, want, msg)
+			}
+		}
+		if strings.Contains(msg, "prefix") {
+			t.Fatalf("workers=%d: evaluation-job panic reported as a prefix panic: %s", workers, msg)
+		}
+	}
+}
+
 func TestSweepCancelledMidRunReturnsContextError(t *testing.T) {
 	a := derived(t)
 	a.Opts.PrefixCacheMB = -1 // single-batch windows: several cancellation points
@@ -115,7 +154,7 @@ func TestSweepCancelledMidRunReturnsContextError(t *testing.T) {
 		windows++
 		cancel()
 	}
-	_, err := a.sweep(ctx, noise.ForGroup(noise.MACOutputs), 0.9, 1)
+	_, err := a.Sweep(ctx, noise.ForGroup(noise.MACOutputs), 0.9, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -160,7 +199,7 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := a.sweep(ctx, filter, clean, 9); !errors.Is(err, context.Canceled) {
+	if _, err := a.Sweep(ctx, filter, clean, 9); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error = %v", err)
 	}
 
@@ -199,6 +238,77 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	if v := c.Obs.Counter("sweep.resumed_jobs").Value(); v != total*nb {
 		t.Fatalf("fully resumed sweep.resumed_jobs = %d, want %d", v, total*nb)
 	}
+}
+
+func TestResumeRejectsImpossibleCheckpointSections(t *testing.T) {
+	// A checkpoint section no run could have written must never be folded
+	// into a result: the fold warns, starts over, and ends with the same
+	// result and checkpoint bytes as a fresh run. Covers sweeps and
+	// backend evaluations, which share the one resume path.
+	ctx := context.Background()
+	filter := noise.ForGroup(noise.MACOutputs)
+	be := axe.QuantExact{Bits: 8}
+	a := derived(t)
+	_, nb := a.SweepGrid()
+	n, batch := a.Data.TestX.Shape[0], a.Opts.Batch
+	if nb < 3 || n >= nb*batch {
+		t.Fatalf("fixture needs >= 3 batches and a short last one: n=%d nb=%d", n, nb)
+	}
+	cases := map[string]func(evals int) sweepState{
+		"negative count marked done": func(e int) sweepState { return sweepState{Correct: fill(e, -5), BatchesDone: 1, Done: true} },
+		"done before the last batch": func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: 1, Done: true} },
+		"all batches but not done":   func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: nb} },
+		"count above window size":    func(e int) sweepState { return sweepState{Correct: fill(e, batch+1), BatchesDone: 1} },
+		"count above split size":     func(e int) sweepState { return sweepState{Correct: fill(e, n+1), BatchesDone: nb, Done: true} },
+		"batches beyond the split":   func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: nb + 1, Done: true} },
+		"negative batches":           func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: -1} },
+		"wrong length":               func(e int) sweepState { return sweepState{Correct: fill(e+1, 0), BatchesDone: 1} },
+	}
+	runs := []struct {
+		name, key string
+		evals     int
+		run       func(a *Analyzer) any
+	}{
+		{"sweep", "sweep-27", len(sweepEvals(a.Opts)), func(a *Analyzer) any { return mustSweep(t, a, filter, 0.9, 27) }},
+		{"backend", "eval-27", 1, func(a *Analyzer) any {
+			acc, err := a.EvalBackend(ctx, be, "eval-27")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return acc
+		}},
+	}
+	for _, r := range runs {
+		freshDir := t.TempDir()
+		fresh := derived(t)
+		fresh.Checkpoint, _ = resumeStore(t, freshDir, fresh.Opts)
+		want := r.run(fresh)
+		for name, section := range cases {
+			dir := t.TempDir()
+			b := derived(t)
+			b.Obs = obs.New(obs.Off, nil)
+			st, _ := resumeStore(t, dir, b.Opts)
+			if err := st.Put(r.key, section(r.evals)); err != nil {
+				t.Fatal(err)
+			}
+			b.Checkpoint = st
+			if got := r.run(b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %s: result %v, want %v", r.name, name, got, want)
+			}
+			if v := b.Obs.Counter("sweep.resumed_jobs").Value(); v != 0 {
+				t.Fatalf("%s, %s: resumed %d jobs from an impossible section", r.name, name, v)
+			}
+			sameDirBytes(t, freshDir, dir)
+		}
+	}
+}
+
+func fill(n, v int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 func TestSweepIgnoresCheckpointFromOtherOptions(t *testing.T) {

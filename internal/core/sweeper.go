@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -16,11 +15,25 @@ import (
 	"redcane/internal/tensor"
 )
 
-// This file implements the sweep engine: the hot path of the methodology.
-// Steps 2 and 4 re-run full test-set inference for every (group or layer)
-// × noise-magnitude point × trial, which dominates the total analysis
-// cost (the paper skips resilient groups for exactly this reason). Three
-// accelerations apply:
+// This file implements the analysis engine: the hot path of the
+// methodology. Steps 2 and 4 re-run full test-set inference for every
+// (group or layer) × noise-magnitude point × trial, and the Step 6 check
+// re-runs it under a bit-accurate backend. All three run through one
+// plan → window → fold pipeline:
+//
+//   - newPlan normalizes the options and lays out one fold: the execution
+//     backend, the clean-prefix frontier, the evaluations (one per noisy
+//     (point, trial) for a sweep, a single noiseless one for a backend
+//     evaluation), each job's injector and probe reference, and the
+//     checkpoint section.
+//   - windowJobs evaluates every (evaluation, batch) job of one batch
+//     window into integer correct-counts.
+//   - fold resumes from the checkpointed prefix, takes windows from a
+//     source in any order, folds them in ascending batch order and
+//     checkpoints each contiguous prefix. The sources are this process's
+//     worker pool (runLocal) and, for named sweeps, a remote Fleet.
+//
+// Three accelerations apply inside a window:
 //
 //  1. Clean-prefix activation caching. Noise is injected only at the
 //     sites selected by the sweep's filter, so every layer before the
@@ -31,30 +44,30 @@ import (
 //     (ClassCaps-targeted layer sweeps, the softmax / logits-update
 //     groups) this skips the bulk of the forward pass.
 //  2. Deterministic parallel evaluation. Work is scheduled as
-//     independent (sweep point × trial × batch) jobs over a
-//     GOMAXPROCS-aware worker pool (Options.Workers). Each job draws its
-//     noise from a counter-seeded RNG stream derived from (Options.Seed,
-//     sweep-call counter, point, trial, batch index) via
-//     noise.StreamSeed, so results are bit-identical for any worker
-//     count and any scheduling order.
+//     independent (evaluation × batch) jobs over a GOMAXPROCS-aware
+//     worker pool (Options.Workers). Each job draws its noise from a
+//     counter-seeded RNG stream derived from (Options.Seed, sweep-call
+//     counter, point, trial, batch index) via noise.StreamSeed, so
+//     results are bit-identical for any worker count and any scheduling
+//     order.
 //  3. Scratch-arena reuse. Each worker owns a tensor.Scratch, so the
 //     im2col / product / routing temporaries of repeated suffix forwards
 //     recycle instead of churning the garbage collector.
 //
 // The cache is memory-bounded by Options.PrefixCacheMB: when the whole
 // evaluation set's frontier activations fit, they are computed once and
-// also retained on the Analyzer for back-to-back sweeps sharing a
-// frontier (e.g. the softmax and logits-update group sweeps); otherwise
-// batches are processed in windows that fit the bound, re-deriving the
-// prefix per window.
+// also retained on the Analyzer for back-to-back folds sharing a frontier
+// (e.g. the softmax and logits-update group sweeps); otherwise batches are
+// processed in windows that fit the bound, re-deriving the prefix per
+// window.
 //
-// The engine is additionally fault-tolerant: a panic inside a worker is
-// recovered and surfaced as a *JobPanicError naming the failing (point,
-// trial, batch) job instead of crashing the process, cancellation via
-// context stops dispatch at a batch boundary (in-flight jobs drain), and
-// when the Analyzer carries a checkpoint.Store each completed batch
-// window persists its per-(point, trial) correct-counts so a restarted
-// run resumes bit-identically where it left off.
+// The engine is fault-tolerant: a panic inside a worker is recovered and
+// surfaced as a *JobPanicError naming the fold's section and the failing
+// job, cancellation via context stops dispatch at a batch boundary
+// (in-flight jobs drain), and when the Analyzer carries a
+// checkpoint.Store each folded window persists the per-evaluation
+// correct-counts so a restarted run resumes bit-identically where it
+// left off.
 
 // prefixCache retains the clean activations at one frontier for the whole
 // evaluation set, one tensor per batch. base is the producing backend's
@@ -68,23 +81,18 @@ type prefixCache struct {
 	acts     []*tensor.Tensor
 }
 
-// sweepWorkers resolves the configured worker bound.
-func (o Options) sweepWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// JobPanicError reports a panic recovered inside a sweep-engine worker,
-// carrying the coordinates of the failing evaluation job. Point indexes
-// Options.NMSweep; Point and Trial are -1 for clean-prefix jobs, which
-// evaluate no sweep point.
+// JobPanicError reports a panic recovered inside an engine worker,
+// carrying the fold's checkpoint section and the coordinates of the
+// failing job. Point indexes Options.NMSweep; Point and Trial are -1 for
+// jobs outside the noise grid: clean-prefix jobs (Prefix set) and backend
+// evaluations.
 type JobPanicError struct {
-	Point int
-	NM    float64
-	Trial int
-	Batch int
+	Section string
+	Point   int
+	NM      float64
+	Trial   int
+	Batch   int
+	Prefix  bool
 	// Value is the recovered panic value; Stack the worker's stack at
 	// the point of the panic.
 	Value any
@@ -93,11 +101,14 @@ type JobPanicError struct {
 
 // Error implements error.
 func (e *JobPanicError) Error() string {
-	if e.Point < 0 {
-		return fmt.Sprintf("sweep: worker panic computing clean prefix of batch %d: %v", e.Batch, e.Value)
+	switch {
+	case e.Prefix:
+		return fmt.Sprintf("section %q: worker panic computing clean prefix of batch %d: %v", e.Section, e.Batch, e.Value)
+	case e.Point >= 0:
+		return fmt.Sprintf("section %q: worker panic at point=%d (NM=%g) trial=%d batch=%d: %v",
+			e.Section, e.Point, e.NM, e.Trial, e.Batch, e.Value)
 	}
-	return fmt.Sprintf("sweep: worker panic at point=%d (NM=%g) trial=%d batch=%d: %v",
-		e.Point, e.NM, e.Trial, e.Batch, e.Value)
+	return fmt.Sprintf("section %q: worker panic at batch=%d: %v", e.Section, e.Batch, e.Value)
 }
 
 // workerPanic is runJobs' internal panic capture; callers translate the
@@ -277,270 +288,164 @@ func (a *Analyzer) prefixWindow(frontier, nb int) int {
 	return w
 }
 
-// prefixActivations returns the clean activations at the frontier for
-// batches [b0, b1), computed under the given execution backend. When the
-// window spans the whole evaluation set the result is retained on the
-// Analyzer and reused by subsequent evaluations with the same frontier
-// and backend baseline. frontier == 0 returns zero-copy views of x.
-func (a *Analyzer) prefixActivations(ctx context.Context, frontier int, x *tensor.Tensor, b0, b1, nb int, be caps.Backend) ([]*tensor.Tensor, error) {
-	n := x.Shape[0]
-	sample := x.Len() / n
+// prefixActivations returns the clean activations at p's frontier for
+// batches [b0, b1), computed under p's backend. When the window spans the
+// whole evaluation set the result is retained on the Analyzer and reused
+// by subsequent folds with the same frontier and backend baseline.
+// frontier == 0 returns zero-copy views of the inputs.
+func (a *Analyzer) prefixActivations(ctx context.Context, p *plan, b0, b1 int) ([]*tensor.Tensor, error) {
+	sample := p.x.Len() / p.n
 	batch := a.Opts.Batch
 	view := func(bi int) *tensor.Tensor {
 		lo := bi * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		shape := append([]int{hi - lo}, x.Shape[1:]...)
-		return tensor.NewFrom(x.Data[lo*sample:hi*sample], shape...)
+		hi := min(lo+batch, p.n)
+		shape := append([]int{hi - lo}, p.x.Shape[1:]...)
+		return tensor.NewFrom(p.x.Data[lo*sample:hi*sample], shape...)
 	}
 
 	acts := make([]*tensor.Tensor, b1-b0)
-	if frontier == 0 {
+	if p.frontier == 0 {
 		a.Obs.Counter("sweep.prefix_cache.bypass").Inc()
 		for bi := b0; bi < b1; bi++ {
 			acts[bi-b0] = view(bi)
 		}
 		return acts, nil
 	}
-	whole := b0 == 0 && b1 == nb
-	if whole && a.pcache != nil && a.pcache.frontier == frontier && a.pcache.base == be.BaseID() {
+	whole := b0 == 0 && b1 == p.nb
+	if whole && a.pcache != nil && a.pcache.frontier == p.frontier && a.pcache.base == p.be.BaseID() {
 		a.Obs.Counter("sweep.prefix_cache.hits").Inc()
 		return a.pcache.acts, nil
 	}
 	a.Obs.Counter("sweep.prefix_cache.misses").Inc()
-	err := runJobs(ctx, a.Obs, a.Opts.sweepWorkers(), b1-b0, func(j int, _ *tensor.Scratch) {
-		acts[j] = a.Net.ForwardToExec(frontier, view(b0+j), noise.None{}, be)
+	err := runJobs(ctx, a.Obs, a.Opts.Workers, b1-b0, func(j int, _ *tensor.Scratch) {
+		acts[j] = a.Net.ForwardToExec(p.frontier, view(b0+j), noise.None{}, p.be)
 	})
 	if err != nil {
 		var wp *workerPanic
 		if errors.As(err, &wp) {
-			return nil, &JobPanicError{Point: -1, Trial: -1, Batch: b0 + wp.Job, Value: wp.Value, Stack: wp.Stack}
+			return nil, &JobPanicError{Section: p.key, Point: -1, Trial: -1, Batch: b0 + wp.Job, Prefix: true, Value: wp.Value, Stack: wp.Stack}
 		}
 		return nil, err
 	}
 	if whole {
-		a.pcache = &prefixCache{frontier: frontier, base: be.BaseID(), acts: acts}
+		a.pcache = &prefixCache{frontier: p.frontier, base: p.be.BaseID(), acts: acts}
 		var bytes int64
 		for _, t := range acts {
 			bytes += 8 * int64(len(t.Data))
 		}
 		a.Obs.Gauge("sweep.prefix_cache.retained_bytes").Set(float64(bytes))
 		a.Obs.Debug("prefix cache retained",
-			obs.F("frontier", frontier), obs.F("batches", len(acts)), obs.F("bytes", bytes))
+			obs.F("frontier", p.frontier), obs.F("batches", len(acts)), obs.F("bytes", bytes))
 	}
 	return acts, nil
 }
 
-// Sweep measures accuracy across the NM grid with the given site filter.
-// seedBase namespaces the RNG streams of distinct sweeps; reuse the same
-// value to reproduce a sweep bit-for-bit. Cancelling ctx stops the sweep
-// at a batch-window boundary with ctx's error; a worker panic surfaces
-// as a *JobPanicError naming the failing (point, trial, batch) job.
+// Sweep measures accuracy across the NM grid with the given site filter
+// on this process's worker pool. seedBase namespaces the sweep's RNG
+// streams; reuse the same value to reproduce a sweep bit-for-bit,
+// regardless of Options.Workers. Cancelling ctx stops the sweep at a
+// batch-window boundary with ctx's error; a worker panic surfaces as a
+// *JobPanicError naming the failing (point, trial, batch) job.
+//
+// With a non-nil a.Checkpoint, the per-(point, trial) correct-counts are
+// persisted after every folded batch window under the section
+// "sweep-<seedBase>"; a later call with the same options resumes after
+// the last persisted window (or returns immediately when the sweep had
+// completed), producing bit-identical points because every job's noise
+// is a pure function of (seed, seedBase, point, trial, batch).
 func (a *Analyzer) Sweep(ctx context.Context, filter noise.Filter, clean float64, seedBase uint64) ([]SweepPoint, error) {
-	return a.sweep(ctx, filter, clean, seedBase)
+	p, err := a.sweepPlan(filter, seedBase)
+	if err != nil {
+		return nil, err
+	}
+	correct, err := a.fold(ctx, p, a.runLocal)
+	if err != nil {
+		return nil, err
+	}
+	return assemblePoints(a.Opts, correct, clean, p.n), nil
 }
 
-// sweepState is the checkpointed progress of one sweep: the per-(point,
-// trial) correct-counts summed over the first BatchesDone batches.
+// sweepState is the checkpointed progress of one fold: the per-evaluation
+// correct-counts summed over the first BatchesDone batches.
 type sweepState struct {
 	Correct     []int `json:"correct"`
 	BatchesDone int   `json:"batches_done"`
 	Done        bool  `json:"done"`
 }
 
-// sweep measures accuracy across the NM grid with the given site filter.
-// seedBase is a per-sweep counter folded into every job's RNG stream, so
-// distinct sweeps draw independent noise while identical configurations
-// reproduce bit-for-bit, regardless of Options.Workers.
-//
-// With a non-nil a.Checkpoint, the per-(point, trial) correct-counts are
-// persisted after every completed batch window under the key
-// "sweep-<seedBase>"; a later call with the same options resumes after
-// the last persisted window (or returns immediately when the sweep had
-// completed), producing bit-identical points because every job's noise
-// is a pure function of (seed, seedBase, point, trial, batch).
-func (a *Analyzer) sweep(ctx context.Context, filter noise.Filter, clean float64, seedBase uint64) ([]SweepPoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// plan lays out one fold. A sweep plan has a site filter and one
+// evaluation per noisy (point, trial); a backend evaluation has no filter
+// and a single noiseless evaluation.
+type plan struct {
+	key      string       // checkpoint section
+	be       caps.Backend // execution backend
+	ref      caps.Backend // probe reference backend; nil skips the reference pass
+	filter   noise.Filter
+	seedBase uint64
+	frontier int
+	evals    []evalIdx
+	nms      []float64 // NM of each point index, for probe records
+	x        *tensor.Tensor
+	y        []int
+	n, nb    int
+}
+
+// newPlan normalizes the options and lays out the fold of one sweep (a
+// non-nil filter, noise streams namespaced by seedBase) or of one
+// noiseless evaluation of be (a nil filter), checkpointed under key.
+func (a *Analyzer) newPlan(key string, be caps.Backend, filter noise.Filter, seedBase uint64) (*plan, error) {
+	a.Opts = a.Opts.WithDefaults()
 	o := a.Opts
 	if _, err := o.Noise.Normalize(); err != nil {
 		return nil, err
 	}
-	be, err := a.execBackend(caps.Float{})
+	// The analyzer's softmax/squash variants apply to every evaluation, so
+	// a design measured under an approximate nonlinearity is compared
+	// against sweeps run under the same one.
+	be, err := a.execBackend(be)
 	if err != nil {
 		return nil, err
 	}
-	x, y := a.evalData()
-	n := x.Shape[0]
-	nb := (n + o.Batch - 1) / o.Batch
-	frontier := a.Net.InjectionFrontier(filter)
-	// A non-exact nonlinearity perturbs every routing layer, so the clean
-	// prefix must stop before the first affected one (Float never shortens
-	// this: its ApproxLayer is constant-false).
-	if nf := a.Net.BackendFrontier(be); nf < frontier {
-		frontier = nf
+	p := &plan{key: key, be: be, filter: filter, seedBase: seedBase}
+	p.x, p.y = a.evalData()
+	p.n = p.x.Shape[0]
+	p.nb = (p.n + o.Batch - 1) / o.Batch
+	if filter != nil {
+		// A non-exact nonlinearity perturbs every routing layer, so the
+		// clean prefix must also stop before the first affected one.
+		p.frontier = min(a.Net.InjectionFrontier(filter), a.Net.BackendFrontier(be))
+		p.evals, p.nms, p.ref = sweepEvals(o), o.NMSweep, be
+		return p, nil
 	}
-
-	evals := sweepEvals(o)
-	correct := make([]int, len(evals)) // per (point, trial), summed over batches
-	totalJobs := len(evals) * nb
-
-	// Numeric-health probes: opt-in, never checkpointed, provably inert
-	// (the probed pass is the result pass; see probe.go). probeAcc[pi]
-	// accumulates per-layer stats for sweep point pi in ascending
-	// (window, job) order, which keeps every float sum bit-identical
-	// across worker counts.
-	probing := a.Probes != nil
-	var probeAcc []*probeAccum
-	if probing {
-		probeAcc = make([]*probeAccum, len(o.NMSweep))
-	}
-
-	// Resume from the checkpointed window boundary, if any.
-	ckey := fmt.Sprintf("sweep-%d", seedBase)
-	startBatch := 0
-	if a.Checkpoint != nil {
-		var st sweepState
-		if a.Checkpoint.Get(ckey, &st) && len(st.Correct) == len(evals) &&
-			st.BatchesDone >= 0 && st.BatchesDone <= nb {
-			copy(correct, st.Correct)
-			startBatch = st.BatchesDone
-			if st.Done {
-				startBatch = nb
-			}
-			skipped := startBatch * len(evals)
-			a.Obs.Counter("sweep.resumed_jobs").Add(int64(skipped))
-			a.Obs.Info("sweep resumed from checkpoint",
-				obs.F("sweep", ckey),
-				obs.F("batches", fmt.Sprintf("%d/%d", startBatch, nb)),
-				obs.F("skipped_jobs", skipped))
-			if probing && startBatch > 0 {
-				// Probe stats are never checkpointed, so they can only
-				// cover the windows this process actually runs.
-				a.Obs.Warn("probe stats cover only the un-resumed windows",
-					obs.F("sweep", ckey), obs.F("skipped_batches", startBatch))
-			}
+	p.frontier = a.Net.BackendFrontier(be)
+	p.evals, p.nms = []evalIdx{{}}, []float64{0}
+	if a.Probes != nil {
+		// Probes measure SQNR against the backend's exact baseline (a
+		// backend that is its own baseline records ranges, moments and
+		// overflow only) and bypass the prefix replay, so every layer's
+		// MAC outputs cross the probe seam, not just the suffix after the
+		// first approximate site.
+		p.frontier = 0
+		if bl, ok := be.(caps.Baseliner); ok && bl.ExactBaseline().Name() != be.Name() {
+			p.ref = bl.ExactBaseline()
 		}
 	}
-
-	window := a.prefixWindow(frontier, nb)
-	start := time.Now()
-	doneJobs := startBatch * len(evals)
-	a.Obs.Counter("sweep.sweeps").Inc()
-	a.Obs.Counter("sweep.jobs").Add(int64(totalJobs - doneJobs))
-	for b0 := startBatch; b0 < nb; b0 += window {
-		if err := ctx.Err(); err != nil {
-			a.Obs.Warn("sweep cancelled",
-				obs.F("sweep", ckey),
-				obs.F("batches", fmt.Sprintf("%d/%d", b0, nb)))
-			return nil, err
-		}
-		b1 := b0 + window
-		if b1 > nb {
-			b1 = nb
-		}
-		tw0 := time.Now()
-		jobCorrect, jobProbes, err := a.windowJobs(ctx, filter, evals, x, y, frontier, seedBase, b0, b1, nb, probing, be)
-		if err != nil {
-			var jp *JobPanicError
-			if !errors.As(err, &jp) {
-				a.Obs.Warn("sweep cancelled",
-					obs.F("sweep", ckey),
-					obs.F("batches", fmt.Sprintf("%d/%d", b0, nb)))
-			}
-			return nil, err
-		}
-		nbw := b1 - b0
-		// Merge in ascending job order: correct-counts, the value-domain
-		// job-correct histogram (integer observations, so bucket counts
-		// and sum are scheduling-invariant), and the probe stats.
-		hist := a.Obs.Histogram("sweep.job_correct")
-		for j, c := range jobCorrect {
-			correct[j/nbw] += c
-			hist.Observe(float64(c))
-		}
-		if probing {
-			for j, rec := range jobProbes {
-				if rec == nil {
-					continue
-				}
-				pi := evals[j/nbw].pi
-				if probeAcc[pi] == nil {
-					probeAcc[pi] = newProbeAccum()
-				}
-				probeAcc[pi].merge(rec.Layers())
-			}
-		}
-		doneJobs += len(jobCorrect)
-		if tr := a.Obs.Trace(); tr != nil {
-			tr.Complete("sweep.window", "sweep", 0, tw0, time.Since(tw0),
-				map[string]any{"sweep": ckey, "batches": fmt.Sprintf("%d-%d/%d", b0, b1, nb), "jobs": len(jobCorrect)})
-		}
-		if a.Checkpoint != nil {
-			a.checkpointPut(ckey, sweepState{Correct: correct, BatchesDone: b1, Done: b1 == nb})
-		}
-		if a.afterWindow != nil {
-			a.afterWindow(b1, nb)
-		}
-		if a.Obs.Enabled(obs.Debug) && doneJobs < totalJobs {
-			elapsed := time.Since(start)
-			rate := float64(doneJobs) / elapsed.Seconds()
-			fields := []obs.Field{
-				obs.F("jobs", fmt.Sprintf("%d/%d", doneJobs, totalJobs)),
-				obs.F("jobs_per_sec", fmt.Sprintf("%.1f", rate)),
-			}
-			// A zero rate (clock granularity, resumed runs doing no new
-			// work yet) would make the ETA division yield +Inf.
-			if rate > 0 {
-				eta := time.Duration(float64(totalJobs-doneJobs) / rate * float64(time.Second))
-				fields = append(fields, obs.F("eta", eta.Round(time.Second)))
-			}
-			a.Obs.Debug("sweep progress", fields...)
-		}
-	}
-	if a.Checkpoint != nil && startBatch < nb {
-		a.checkpointPut(ckey, sweepState{Correct: correct, BatchesDone: nb, Done: true})
-	}
-	if dur := time.Since(start); totalJobs > 0 {
-		a.Obs.Timer("sweep.duration").Observe(dur)
-		rate := float64(totalJobs) / dur.Seconds()
-		a.Obs.Gauge("sweep.last_jobs_per_sec").Set(rate)
-		a.Obs.Debug("sweep complete",
-			obs.F("frontier", frontier), obs.F("jobs", totalJobs),
-			obs.F("dur", dur.Round(time.Millisecond)),
-			obs.F("jobs_per_sec", fmt.Sprintf("%.1f", rate)))
-	}
-
-	if probing {
-		label := a.ProbeLabel
-		if label == "" {
-			label = ckey
-		}
-		swp := ProbeSweep{Label: label, Backend: be.Name()}
-		for pi, nm := range o.NMSweep {
-			if probeAcc[pi] == nil {
-				continue
-			}
-			swp.Points = append(swp.Points, ProbePoint{NM: nm, Layers: probeAcc[pi].emit()})
-		}
-		if len(swp.Points) > 0 {
-			a.Probes.add(swp)
-		}
-	}
-
-	return assemblePoints(o, correct, clean, n), nil
+	return p, nil
 }
 
-// evalIdx names one noisy (point, trial) evaluation of a sweep; NM = 0 is
-// the clean point and is never enumerated.
+// sweepPlan lays out the float sweep of filter under seedBase,
+// checkpointed under the section "sweep-<seedBase>".
+func (a *Analyzer) sweepPlan(filter noise.Filter, seedBase uint64) (*plan, error) {
+	return a.newPlan(fmt.Sprintf("sweep-%d", seedBase), caps.Float{}, filter, seedBase)
+}
+
+// evalIdx names one (point, trial) evaluation of a sweep; NM = 0 is the
+// clean point and is never enumerated.
 type evalIdx struct{ pi, trial int }
 
 // sweepEvals enumerates the (point, trial) evaluations of one sweep in
-// the canonical order every fold path assumes: ascending point index,
-// then ascending trial.
+// the canonical order every fold assumes: ascending point index, then
+// ascending trial.
 func sweepEvals(o Options) []evalIdx {
 	var evals []evalIdx
 	for pi, nm := range o.NMSweep {
@@ -554,72 +459,243 @@ func sweepEvals(o Options) []evalIdx {
 	return evals
 }
 
-// windowJobs evaluates every (point, trial) × batch job of the batch
-// window [b0, b1): the per-job correct counts (eval-major, batch-minor)
-// plus, when probing, the per-job probe recorders. This is the one code
-// path that turns a window into counts — the local sweep loop and the
-// worker-side EvalWindow both call it, which is what makes a leased
-// window's counts bit-identical to the in-process ones.
-func (a *Analyzer) windowJobs(ctx context.Context, filter noise.Filter, evals []evalIdx, x *tensor.Tensor, y []int, frontier int, seedBase uint64, b0, b1, nb int, probing bool, be caps.Backend) ([]int, []*caps.ProbeRecorder, error) {
+// windowJobs evaluates every (evaluation, batch) job of the batch window
+// [b0, b1): the per-job correct counts (eval-major, batch-minor) plus,
+// when probing, each job's per-layer probe stats. This is the one code
+// path that turns a window into counts — local sweeps, backend
+// evaluations and the worker-side EvalWindow all call it, which is what
+// makes a leased window's counts bit-identical to the in-process ones.
+func (a *Analyzer) windowJobs(ctx context.Context, p *plan, b0, b1 int, probing bool) ([]int, [][]caps.ProbeLayerStats, error) {
 	o := a.Opts
-	acts, err := a.prefixActivations(ctx, frontier, x, b0, b1, nb, be)
+	acts, err := a.prefixActivations(ctx, p, b0, b1)
 	if err != nil {
 		return nil, nil, err
 	}
-	// One job per (point, trial, batch); each job owns its result slot.
+	// One job per (evaluation, batch); each job owns its result slots.
 	nbw := b1 - b0
-	jobCorrect := make([]int, len(evals)*nbw)
-	var jobProbes []*caps.ProbeRecorder
+	jobCorrect := make([]int, len(p.evals)*nbw)
+	var jobProbes [][]caps.ProbeLayerStats
 	if probing {
-		jobProbes = make([]*caps.ProbeRecorder, len(jobCorrect))
+		jobProbes = make([][]caps.ProbeLayerStats, len(jobCorrect))
 	}
-	err = runJobs(ctx, a.Obs, o.sweepWorkers(), len(jobCorrect), func(j int, s *tensor.Scratch) {
-		e := evals[j/nbw]
-		bi := b0 + j%nbw
-		nm := o.NMSweep[e.pi]
-		seed := noise.StreamSeed(o.Seed, seedBase, uint64(e.pi), uint64(e.trial), uint64(bi))
-		inj := o.Noise.Injector(nm, o.NA, filter, seed)
-		var pred []int
-		if probing {
-			// Reference pass: the clean suffix, recorded at the Backend
-			// seam. noise.None draws nothing from inj, and the kernels
-			// write scratch buffers before reading them, so the extra
-			// pass cannot perturb the result pass below.
-			rec := caps.NewProbeRecorder()
-			rec.StartReference()
-			a.Net.ClassifyFromExec(frontier, acts[bi-b0], noise.None{}, s, caps.NewProbeBackend(be, rec))
-			rec.StartObserve()
-			pred = a.Net.ClassifyFromExec(frontier, acts[bi-b0], inj, s, caps.NewProbeBackend(be, rec))
-			jobProbes[j] = rec
-		} else {
-			pred = a.Net.ClassifyFromExec(frontier, acts[bi-b0], inj, s, be)
+	err = runJobs(ctx, a.Obs, o.Workers, len(jobCorrect), func(j int, s *tensor.Scratch) {
+		e, bi := p.evals[j/nbw], b0+j%nbw
+		var inj noise.Injector = noise.None{}
+		if p.filter != nil {
+			seed := noise.StreamSeed(o.Seed, p.seedBase, uint64(e.pi), uint64(e.trial), uint64(bi))
+			inj = o.Noise.Injector(o.NMSweep[e.pi], o.NA, p.filter, seed)
 		}
+		be := p.be
+		var rec *caps.ProbeRecorder
+		if probing {
+			// Reference pass, recorded at the Backend seam. noise.None
+			// draws nothing from inj, and the kernels write scratch
+			// buffers before reading them, so the extra pass cannot
+			// perturb the result pass below.
+			rec = caps.NewProbeRecorder()
+			if p.ref != nil {
+				rec.StartReference()
+				a.Net.ClassifyFromExec(p.frontier, acts[bi-b0], noise.None{}, s, caps.NewProbeBackend(p.ref, rec))
+			}
+			rec.StartObserve()
+			be = caps.NewProbeBackend(p.be, rec)
+		}
+		pred := a.Net.ClassifyFromExec(p.frontier, acts[bi-b0], inj, s, be)
 		lo := bi * o.Batch
 		c := 0
-		for i, p := range pred {
-			if p == y[lo+i] {
+		for i, pr := range pred {
+			if pr == p.y[lo+i] {
 				c++
 			}
 		}
 		jobCorrect[j] = c
+		if rec != nil {
+			jobProbes[j] = rec.Layers()
+		}
 	})
 	if err != nil {
 		var wp *workerPanic
 		if errors.As(err, &wp) {
-			e := evals[wp.Job/nbw]
-			return nil, nil, &JobPanicError{
-				Point: e.pi, NM: o.NMSweep[e.pi], Trial: e.trial, Batch: b0 + wp.Job%nbw,
-				Value: wp.Value, Stack: wp.Stack,
+			jp := &JobPanicError{Section: p.key, Point: -1, Trial: -1, Batch: b0 + wp.Job%nbw, Value: wp.Value, Stack: wp.Stack}
+			if p.filter != nil {
+				e := p.evals[wp.Job/nbw]
+				jp.Point, jp.NM, jp.Trial = e.pi, o.NMSweep[e.pi], e.trial
 			}
+			return nil, nil, jp
 		}
 		return nil, nil, err
 	}
 	return jobCorrect, jobProbes, nil
 }
 
+// windowSums folds a window's per-job counts (eval-major over nbw
+// batches) into per-evaluation counts — the form a WindowResult carries.
+func windowSums(jobCorrect []int, evals, nbw int) []int {
+	out := make([]int, evals)
+	for j, c := range jobCorrect {
+		out[j/nbw] += c
+	}
+	return out
+}
+
+// windowSource feeds a fold: it produces every window of [start, p.nb),
+// each exactly once and in any order, handing each to emit with its
+// per-evaluation counts and — for windows evaluated here with probes on —
+// its per-job probe stats. It returns early with an error on failure or
+// cancellation.
+type windowSource func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error
+
+// runLocal is the in-process window source: ascending windows of
+// prefixWindow batches on this process's worker pool. A window spanning
+// the whole split fills the prefix cache for the next fold.
+func (a *Analyzer) runLocal(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
+	window := a.prefixWindow(p.frontier, p.nb)
+	for b0 := start; b0 < p.nb; b0 += window {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		b1 := min(b0+window, p.nb)
+		tw0 := time.Now()
+		jobCorrect, jobProbes, err := a.windowJobs(ctx, p, b0, b1, a.Probes != nil)
+		if err != nil {
+			return err
+		}
+		if p.filter != nil {
+			// Per-job counts are integers, so the histogram's buckets and
+			// sum do not depend on scheduling.
+			a.Obs.Counter("sweep.jobs").Add(int64(len(jobCorrect)))
+			hist := a.Obs.Histogram("sweep.job_correct")
+			for _, c := range jobCorrect {
+				hist.Observe(float64(c))
+			}
+			if tr := a.Obs.Trace(); tr != nil {
+				tr.Complete("sweep.window", "sweep", 0, tw0, time.Since(tw0),
+					map[string]any{"sweep": p.key, "batches": fmt.Sprintf("%d-%d/%d", b0, b1, p.nb), "jobs": len(jobCorrect)})
+			}
+		}
+		emit(WindowResult{B0: b0, B1: b1, Correct: windowSums(jobCorrect, len(p.evals), b1-b0)}, jobProbes)
+	}
+	return nil
+}
+
+// resume loads p's checkpointed prefix into correct and returns the first
+// batch still to run. A section no run could have written — wrong length,
+// a done flag that disagrees with batches_done, or a count outside
+// [0, min(batches_done·batch, n)], the bound fleet completions must also
+// meet — is ignored with a warning, and the fold starts over.
+func (a *Analyzer) resume(p *plan, correct []int) int {
+	var st sweepState
+	if a.Checkpoint == nil || !a.Checkpoint.Get(p.key, &st) {
+		return 0
+	}
+	ok := len(st.Correct) == len(p.evals) && st.BatchesDone >= 0 && st.BatchesDone <= p.nb &&
+		st.Done == (st.BatchesDone == p.nb)
+	bound := min(st.BatchesDone*a.Opts.Batch, p.n)
+	for _, c := range st.Correct {
+		ok = ok && c >= 0 && c <= bound
+	}
+	if !ok {
+		a.Obs.Warn("ignoring impossible checkpoint section; starting over", obs.F("section", p.key))
+		return 0
+	}
+	copy(correct, st.Correct)
+	skipped := st.BatchesDone * len(p.evals)
+	if p.filter != nil {
+		a.Obs.Counter("sweep.resumed_jobs").Add(int64(skipped))
+	}
+	a.Obs.Info("resumed from checkpoint", obs.F("section", p.key),
+		obs.F("batches", fmt.Sprintf("%d/%d", st.BatchesDone, p.nb)), obs.F("skipped_jobs", skipped))
+	if a.Probes != nil && st.BatchesDone > 0 {
+		// Probe stats are never checkpointed, so they can only cover the
+		// windows this process actually runs.
+		a.Obs.Warn("probe stats cover only the un-resumed windows",
+			obs.F("section", p.key), obs.F("skipped_batches", st.BatchesDone))
+	}
+	return st.BatchesDone
+}
+
+// fold runs plan p to completion and returns its per-evaluation correct
+// counts summed over every batch. It resumes from the checkpointed
+// prefix, takes the remaining windows from run in any order, folds them
+// in ascending batch order and checkpoints each contiguous prefix — so a
+// local run and a fleet run write the same checkpoint bytes and resume
+// each other's. A cancellation or a short delivery is an error; the
+// checkpoint keeps the folded prefix either way.
+func (a *Analyzer) fold(ctx context.Context, p *plan, run windowSource) ([]int, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	correct := make([]int, len(p.evals))
+	start := a.resume(p, correct)
+	if p.filter != nil {
+		a.Obs.Counter("sweep.sweeps").Inc()
+	}
+	// Probe stats sum floats, so their grouping changes result bits: each
+	// job's stats are buffered and merged at the end in one order over the
+	// whole fold, which keeps them independent of the window layout.
+	var stats [][]caps.ProbeLayerStats
+	if a.Probes != nil {
+		stats = make([][]caps.ProbeLayerStats, len(p.evals)*p.nb)
+	}
+	t0 := time.Now()
+	next := start
+	pending := map[int]WindowResult{}
+	emit := func(w WindowResult, jobProbes [][]caps.ProbeLayerStats) {
+		nbw := w.B1 - w.B0
+		for j, st := range jobProbes {
+			stats[j/nbw*p.nb+w.B0+j%nbw] = st
+		}
+		pending[w.B0] = w
+		for r, ok := pending[next]; ok; r, ok = pending[next] {
+			delete(pending, next)
+			for i, c := range r.Correct {
+				correct[i] += c
+			}
+			next = r.B1
+			if a.Checkpoint != nil {
+				a.checkpointPut(p.key, sweepState{Correct: correct, BatchesDone: next, Done: next == p.nb})
+			}
+			if a.afterWindow != nil {
+				a.afterWindow(next, p.nb)
+			}
+			if a.Obs.Enabled(obs.Debug) && next > start && next < p.nb {
+				eta := time.Since(t0) / time.Duration(next-start) * time.Duration(p.nb-next)
+				a.Obs.Debug("fold progress", obs.F("section", p.key),
+					obs.F("batches", fmt.Sprintf("%d/%d", next, p.nb)), obs.F("eta", eta.Round(time.Second)))
+			}
+		}
+	}
+	if start < p.nb {
+		err := run(ctx, p, start, emit)
+		if err == nil && next < p.nb {
+			if err = ctx.Err(); err == nil {
+				err = fmt.Errorf("%s incomplete: %d/%d batches folded", p.key, next, p.nb)
+			}
+		}
+		if err != nil {
+			if ctx.Err() != nil {
+				a.Obs.Warn("fold cancelled", obs.F("section", p.key), obs.F("batches", fmt.Sprintf("%d/%d", next, p.nb)))
+			}
+			return nil, err
+		}
+	}
+	if p.filter != nil {
+		dur := time.Since(t0)
+		a.Obs.Timer("sweep.duration").Observe(dur)
+		if jobs := (p.nb - start) * len(p.evals); jobs > 0 {
+			a.Obs.Gauge("sweep.last_jobs_per_sec").Set(float64(jobs) / dur.Seconds())
+		}
+		a.Obs.Debug("sweep complete", obs.F("section", p.key), obs.F("frontier", p.frontier),
+			obs.F("batches", p.nb-start), obs.F("dur", dur.Round(time.Millisecond)))
+	}
+	if a.Probes != nil {
+		a.recordProbes(p, stats)
+	}
+	return correct, nil
+}
+
 // assemblePoints turns the folded per-(point, trial) correct counts into
-// the sweep's points. Shared by the local and fleet sweep paths so a
-// distributed sweep's report is assembled by exactly the in-process code.
+// the sweep's points.
 func assemblePoints(o Options, correct []int, clean float64, n int) []SweepPoint {
 	points := make([]SweepPoint, len(o.NMSweep))
 	ei := 0

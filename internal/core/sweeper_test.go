@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"redcane/internal/caps"
@@ -12,7 +13,7 @@ import (
 // error — the ergonomic form for the many tests that never cancel.
 func mustSweep(t *testing.T, a *Analyzer, filter noise.Filter, clean float64, seedBase uint64) []SweepPoint {
 	t.Helper()
-	pts, err := a.sweep(context.Background(), filter, clean, seedBase)
+	pts, err := a.Sweep(context.Background(), filter, clean, seedBase)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -155,6 +156,35 @@ func TestOptionsWorkerDefaults(t *testing.T) {
 	}
 	if kept := (Options{Workers: 5, PrefixCacheMB: 7}).WithDefaults(); kept.Workers != 5 || kept.PrefixCacheMB != 7 {
 		t.Fatalf("explicit values overridden: %+v", kept)
+	}
+}
+
+func TestZeroValueOptionsActAsDefaults(t *testing.T) {
+	// An Analyzer built with zero-value Options (Batch 0, no grid) must
+	// run exactly as if its Options had gone through WithDefaults.
+	ctx := context.Background()
+	a := derived(t)
+	zero := &Analyzer{Net: a.Net, Data: a.Data}
+	defaulted := &Analyzer{Net: a.Net, Data: a.Data, Opts: Options{}.WithDefaults()}
+	filter := noise.ForGroup(noise.Softmax)
+	samePoints(t, "zero-value vs defaulted sweep", mustSweep(t, defaulted, filter, 0.9, 3), mustSweep(t, zero, filter, 0.9, 3))
+
+	// The analysis steps read the grid and threshold before any sweep runs.
+	analyze := func(a *Analyzer) ([]GroupResult, []LayerResult) {
+		groups, err := a.AnalyzeGroups(ctx, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers, err := a.AnalyzeLayers(ctx, groups, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return groups, layers
+	}
+	wantG, wantL := analyze(&Analyzer{Net: a.Net, Data: a.Data, Opts: Options{}.WithDefaults()})
+	gotG, gotL := analyze(&Analyzer{Net: a.Net, Data: a.Data})
+	if !reflect.DeepEqual(wantG, gotG) || !reflect.DeepEqual(wantL, gotL) {
+		t.Fatalf("zero-value analysis differs:\n%+v\n%+v\nvs\n%+v\n%+v", gotG, gotL, wantG, wantL)
 	}
 }
 
