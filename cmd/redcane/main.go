@@ -83,6 +83,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -112,38 +113,58 @@ import (
 // shutdown (128 + SIGINT).
 const exitInterrupted = 130
 
-func main() {
-	dir := flag.String("dir", ".redcane-cache", "weight-cache directory")
-	quick := flag.Bool("quick", false, "reduced dataset/epoch/evaluation sizes")
-	seed := flag.Uint64("seed", 42, "master seed")
-	workers := flag.Int("workers", 0, "sweep-engine evaluation goroutines (0 = GOMAXPROCS); never affects results")
-	checkpointOn := flag.Bool("checkpoint", true, "persist analysis progress under -dir so interrupted runs resume")
-	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
-	jsonPath := flag.String("json", "", "write the design report as JSON to this file (design/refine)")
-	backend := flag.String("backend", "quant-approx", "validate execution backend: float|quant-exact|quant-approx")
-	bits := flag.Uint("bits", 8, "operand wordlength of the quantized backends")
-	softmax := flag.String("softmax", "exact", "routing softmax operator: exact|base2|pwl")
-	squash := flag.String("squash", "exact", "capsule squash operator: exact|sqnorm")
-	fault := flag.String("fault", noise.KindBitFlip, "fault-sweep injector kind: gaussian|bit-flip|stuck-at-0|stuck-at-1")
-	faultBits := flag.Uint("fault-bits", 0, "bit-flip word length (default 8; bit-flip kind only)")
-	verbose := flag.Bool("v", false, "shorthand for -log-level info")
-	logLevel := flag.String("log-level", "", "event verbosity: debug|info|warn|error|off (default warn)")
-	metricsPath := flag.String("metrics", "", "write a JSON telemetry snapshot to this file on exit")
-	probesDir := flag.String("probes", "", "write numeric-health probes (probes.csv/probes.json) into this directory")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON trace to this file on exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	flag.Parse()
+func main() { os.Exit(runMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() < 1 {
-		usage(os.Stderr)
-		os.Exit(2)
+// runMain is the whole command: it parses args, checks every flag value
+// before any training or analysis starts, runs the command and flushes
+// the telemetry. It returns the process exit code.
+func runMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", ".redcane-cache", "weight-cache directory")
+	quick := fs.Bool("quick", false, "reduced dataset/epoch/evaluation sizes")
+	seed := fs.Uint64("seed", 42, "master seed")
+	workers := fs.Int("workers", 0, "sweep-engine evaluation goroutines (0 = GOMAXPROCS); never affects results")
+	checkpointOn := fs.Bool("checkpoint", true, "persist analysis progress under -dir so interrupted runs resume")
+	csvDir := fs.String("csv", "", "also write machine-readable CSVs into this directory")
+	jsonPath := fs.String("json", "", "write the design report as JSON to this file (design/refine)")
+	backend := fs.String("backend", "quant-approx", "validate execution backend: float|quant-exact|quant-approx")
+	bits := fs.Uint("bits", 8, "operand wordlength of the quantized backends")
+	softmax := fs.String("softmax", "exact", "routing softmax operator: exact|base2|pwl")
+	squash := fs.String("squash", "exact", "capsule squash operator: exact|sqnorm")
+	fault := fs.String("fault", noise.KindBitFlip, "fault-sweep injector kind: gaussian|bit-flip|stuck-at-0|stuck-at-1")
+	faultBits := fs.Uint("fault-bits", 0, "bit-flip word length (default 8; bit-flip kind only)")
+	verbose := fs.Bool("v", false, "shorthand for -log-level info")
+	logLevel := fs.String("log-level", "", "event verbosity: debug|info|warn|error|off (default warn)")
+	metricsPath := fs.String("metrics", "", "write a JSON telemetry snapshot to this file on exit")
+	probesDir := fs.String("probes", "", "write numeric-health probes (probes.csv/probes.json) into this directory")
+	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON trace to this file on exit")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if fs.NArg() < 1 {
+		usage(stderr)
+		return 2
+	}
+	// Bad flag values are usage errors: fail before any training or
+	// analysis starts.
 	needMetrics := *metricsPath != "" || *pprofAddr != "" || *cpuProfile != "" || *traceOut != ""
 	o, err := buildObs(*logLevel, *verbose, needMetrics)
+	opt := experiments.Job{Backend: *backend, Bits: *bits, Fault: *fault, FaultBits: *faultBits}
+	if err == nil {
+		err = checkJobFlags(opt)
+	}
+	if err == nil {
+		_, err = core.ResolveNonlinearity(*softmax, *squash)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "redcane:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "redcane:", err)
+		return 2
 	}
 	var trace *obs.Trace
 	if *traceOut != "" {
@@ -168,13 +189,13 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "redcane:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "redcane:", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, "redcane:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "redcane:", err)
+			return 1
 		}
 		profFile = f
 	}
@@ -182,45 +203,42 @@ func main() {
 	// SIGINT/SIGTERM cancel the run context: work stops at the next batch
 	// boundary and the shutdown path below still flushes telemetry and
 	// partial outputs. A second signal kills the process immediately.
+	// Closing stopSig ends the watcher once the command has returned.
 	runCtx, cancel := context.WithCancel(context.Background())
 	sig := make(chan os.Signal, 2)
+	stopSig := make(chan struct{})
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "redcane: interrupted; stopping at next batch (signal again to kill)")
+		select {
+		case <-sig:
+		case <-stopSig:
+			return
+		}
+		fmt.Fprintln(stderr, "redcane: interrupted; stopping at next batch (signal again to kill)")
 		cancel()
-		<-sig
-		os.Exit(exitInterrupted)
+		select {
+		case <-sig:
+			os.Exit(exitInterrupted)
+		case <-stopSig:
+		}
 	}()
 
 	var probes *core.ProbeSet
 	if *probesDir != "" {
 		probes = core.NewProbeSet()
 	}
-	// Bad operator or injector names are usage errors: fail before any
-	// training or analysis starts.
-	if _, err := core.ResolveNonlinearity(*softmax, *squash); err != nil {
-		fmt.Fprintln(os.Stderr, "redcane:", err)
-		os.Exit(2)
-	}
-	faultSpec, err := noise.Spec{Kind: *fault, Bits: *faultBits}.Normalize()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "redcane:", err)
-		os.Exit(2)
-	}
 	cfg := experiments.Config{
 		Dir: *dir, Quick: *quick, Seed: *seed, Workers: *workers, Obs: o,
 		Ctx: runCtx, Checkpoint: *checkpointOn, Probes: probes,
 		Softmax: *softmax, Squash: *squash,
 	}
-	r := experiments.NewRunner(cfg)
 	c := &cli{
-		runner: r, obs: o, ctx: runCtx, cfg: cfg,
-		csvDir: *csvDir, jsonPath: *jsonPath, backend: *backend, bits: *bits,
-		fault: faultSpec,
+		runner: experiments.NewRunner(cfg), obs: o, ctx: runCtx, cfg: cfg,
+		csvDir: *csvDir, jsonPath: *jsonPath, opt: opt,
 	}
-	runErr := c.run(os.Stdout, flag.Arg(0), flag.Args()[1:])
+	runErr := c.run(stdout, fs.Arg(0), fs.Args()[1:])
 	signal.Stop(sig)
+	close(stopSig)
 	cancel()
 
 	exitCode := 0
@@ -233,14 +251,17 @@ func main() {
 
 	// Flush the profile and snapshot even when the command failed or was
 	// interrupted: a partial run's telemetry is exactly what debugs it.
-	if profFile != nil {
-		pprof.StopCPUProfile()
-		if err := profFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "redcane:", err)
+	flushErr := func(err error) {
+		if err != nil {
+			fmt.Fprintln(stderr, "redcane:", err)
 			if exitCode == 0 {
 				exitCode = 1
 			}
 		}
+	}
+	if profFile != nil {
+		pprof.StopCPUProfile()
+		flushErr(profFile.Close())
 	}
 	if pprofSrv != nil {
 		shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -248,33 +269,32 @@ func main() {
 		shutCancel()
 	}
 	if probes != nil {
-		if err := writeProbes(probes, *probesDir); err != nil {
-			fmt.Fprintln(os.Stderr, "redcane:", err)
-			if exitCode == 0 {
-				exitCode = 1
-			}
-		}
+		flushErr(writeProbes(probes, *probesDir))
 	}
 	if trace != nil {
-		if err := writeTrace(trace, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "redcane:", err)
-			if exitCode == 0 {
-				exitCode = 1
-			}
-		}
+		flushErr(writeTrace(trace, *traceOut))
 	}
 	if *metricsPath != "" {
-		if err := writeMetrics(o, *metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "redcane:", err)
-			if exitCode == 0 {
-				exitCode = 1
-			}
-		}
+		flushErr(writeMetrics(o, *metricsPath))
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "redcane:", runErr)
+		fmt.Fprintln(stderr, "redcane:", runErr)
 	}
-	os.Exit(exitCode)
+	return exitCode
+}
+
+// checkJobFlags checks the job flags against every job kind that takes
+// them, so a bad -backend, -bits, -fault or -fault-bits fails at startup
+// with the error the service answers the same job with, whichever
+// command runs.
+func checkJobFlags(opt experiments.Job) error {
+	for _, k := range experiments.JobKinds {
+		j := k.Job("", opt)
+		if err := j.Normalize(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // buildObs resolves the -log-level / -v flags into the process Obs.
@@ -435,9 +455,9 @@ type cli struct {
 	cfg      experiments.Config
 	csvDir   string
 	jsonPath string
-	backend  string
-	bits     uint
-	fault    noise.Spec
+	// opt holds the -backend/-bits/-fault/-fault-bits values; each job
+	// takes from it only the fields its kind accepts.
+	opt experiments.Job
 }
 
 func (c *cli) run(w io.Writer, cmd string, args []string) error {
@@ -457,7 +477,7 @@ func (c *cli) run(w io.Writer, cmd string, args []string) error {
 			return fmt.Errorf("experiment wants one id (or 'all'); see 'redcane list'")
 		}
 		return c.runExperiments(w, args[0])
-	case "design", "refine":
+	case "refine":
 		b := experiments.DefaultBenchmark
 		if len(args) == 1 {
 			var err error
@@ -470,72 +490,23 @@ func (c *cli) run(w io.Writer, cmd string, args []string) error {
 			return err
 		}
 		fmt.Fprint(w, res.Render())
-		var refined *core.RefineResult
-		if cmd == "refine" {
-			ref, err := r.RefineDesign(b, res)
-			if err != nil {
-				return err
-			}
-			refined = &ref
-			fmt.Fprintln(w)
-			fmt.Fprint(w, core.FormatRefine(ref))
-		}
-		if c.jsonPath != "" {
-			f, err := os.Create(c.jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			// The refine command serializes the refined design — the
-			// repaired choices, final validated accuracy and the repair
-			// trace — not the pre-refinement report.
-			if refined != nil {
-				if err := core.WriteRefinedJSON(f, res.Report, *refined); err != nil {
-					return err
-				}
-			} else if err := res.Report.WriteJSON(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "validate":
-		b := experiments.DefaultBenchmark
-		if len(args) == 1 {
-			var err error
-			if b, err = experiments.FindBenchmark(args[0]); err != nil {
-				return err
-			}
-		}
-		backend := c.backend
-		if backend == "" {
-			backend = "quant-approx"
-		}
-		res, err := r.Validate(b, backend, c.bits)
+		ref, err := r.RefineDesign(b, res)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(w, res.Render())
-		if c.csvDir != "" {
-			return c.writeCSV("validate", res)
+		fmt.Fprintln(w)
+		fmt.Fprint(w, core.FormatRefine(ref))
+		if c.jsonPath == "" {
+			return nil
 		}
-		return nil
-	case "fault-sweep":
-		b := experiments.DefaultBenchmark
-		if len(args) == 1 {
-			var err error
-			if b, err = experiments.FindBenchmark(args[0]); err != nil {
-				return err
-			}
-		}
-		res, err := r.FaultSweep(b, c.fault, experiments.Overrides{})
-		if err != nil {
+		// refine serializes the refined design — the repaired choices,
+		// final validated accuracy and the repair trace — not the
+		// pre-refinement report.
+		var buf bytes.Buffer
+		if err := core.WriteRefinedJSON(&buf, res.Report, ref); err != nil {
 			return err
 		}
-		fmt.Fprint(w, res.Render())
-		if c.csvDir != "" {
-			return c.writeCSV("faults-"+b.Key(), res)
-		}
-		return nil
+		return os.WriteFile(c.jsonPath, buf.Bytes(), 0o666)
 	case "characterize":
 		return characterize(w, args)
 	case "energy":
@@ -566,9 +537,59 @@ func (c *cli) run(w io.Writer, cmd string, args []string) error {
 		fmt.Fprintln(w, "  faults-<benchmark>  group-wise fault campaign under -fault/-fault-bits")
 		return nil
 	default:
+		for _, k := range experiments.JobKinds {
+			if cmd != "" && k.Command == cmd {
+				key := ""
+				if len(args) == 1 {
+					key = args[0]
+				}
+				return c.runJob(w, k, key)
+			}
+		}
 		usage(os.Stderr)
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// runJob runs kind k on the benchmark key ("" = the default benchmark)
+// with the job flags the kind takes: one Runner.Run, whose artifacts are
+// the service's for the same job. It prints the text and writes the CSV
+// as <-csv>/<id>.csv and the JSON to -json.
+func (c *cli) runJob(w io.Writer, k experiments.JobKind, key string) error {
+	j := k.Job(key, c.opt)
+	if err := j.Normalize(); err != nil {
+		return err
+	}
+	art, err := c.runner.Run(j)
+	if err != nil {
+		return err
+	}
+	return c.emit(w, k.ID(j.Benchmark), art)
+}
+
+// emit prints a result's text and writes those machine-readable forms
+// the result has and the flags ask for: the CSV as <-csv>/<id>.csv, the
+// JSON to -json.
+func (c *cli) emit(w io.Writer, id string, art experiments.Artifacts) error {
+	fmt.Fprint(w, art.Text)
+	if err := c.saveCSV(id, art.CSV); err != nil {
+		return err
+	}
+	if c.jsonPath == "" || art.JSON == nil {
+		return nil
+	}
+	return os.WriteFile(c.jsonPath, art.JSON, 0o666)
+}
+
+// saveCSV writes csv as <-csv>/<id>.csv; a no-op without -csv or data.
+func (c *cli) saveCSV(id string, csv []byte) error {
+	if c.csvDir == "" || csv == nil {
+		return nil
+	}
+	if err := os.MkdirAll(c.csvDir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(c.csvDir, id+".csv"), csv, 0o666)
 }
 
 // serve runs the long-lived analysis service until the run context is
@@ -798,9 +819,6 @@ func (c *cli) clientCmd(w io.Writer, args []string) error {
 	}
 }
 
-// renderer is any experiment result.
-type renderer interface{ Render() string }
-
 // experimentEntry is one row of the experiment registry: the id the CLI
 // accepts, whether `experiment all` includes it, and how to run it.
 type experimentEntry struct {
@@ -809,41 +827,49 @@ type experimentEntry struct {
 	run   func(c *cli, w io.Writer) error
 }
 
-// resultEntry adapts the common single-result shape (run, render,
-// optionally CSV under the experiment id) into an entry.
-func resultEntry(id string, inAll bool, f func(c *cli) (renderer, error)) experimentEntry {
+// resultEntry adapts the common single-result shape (run, then emit the
+// artifacts under the experiment id) into an entry.
+func resultEntry(id string, inAll bool, f func(c *cli) (experiments.Result, error)) experimentEntry {
 	return experimentEntry{id: id, inAll: inAll, run: func(c *cli, w io.Writer) error {
 		res, err := f(c)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(w, res.Render())
-		if c.csvDir != "" {
-			return c.writeCSV(id, res)
+		art, err := experiments.RenderArtifacts(res)
+		if err != nil {
+			return err
 		}
-		return nil
+		return c.emit(w, id, art)
+	}}
+}
+
+// jobEntry runs job kind k on the benchmark key as experiment id.
+func jobEntry(id string, inAll bool, k experiments.JobKind, key string) experimentEntry {
+	return experimentEntry{id: id, inAll: inAll, run: func(c *cli, w io.Writer) error {
+		return c.runJob(w, k, key)
 	}}
 }
 
 // experimentTable is the single registry every experiment-facing path
 // derives from: `experiment <id>` lookup, the `experiment all` sequence,
 // the `list` output and the unknown-id error all read it, so an
-// experiment added here is automatically reachable everywhere. The
-// per-benchmark groups-/layers- entries run the same job-shaped sweeps
-// the analysis service runs, which is what lets the smoke test compare
+// experiment added here is automatically reachable everywhere. The job
+// entries (validate and the per-benchmark groups-/layers-/faults- ids)
+// come from the job-kind table and run through Runner.Run, like the
+// analysis service's jobs, which is what lets the smoke tests compare
 // HTTP artifacts against the CLI byte-for-byte.
 func experimentTable() []experimentEntry {
 	entries := []experimentEntry{
-		resultEntry("table1", true, func(c *cli) (renderer, error) { return experiments.Table1() }),
-		resultEntry("fig4", true, func(c *cli) (renderer, error) { return experiments.Fig4() }),
-		resultEntry("fig5", true, func(c *cli) (renderer, error) { return experiments.Fig5() }),
-		resultEntry("fig6", true, func(c *cli) (renderer, error) { return c.runner.Fig6() }),
-		resultEntry("table2", true, func(c *cli) (renderer, error) { return c.runner.Table2() }),
-		resultEntry("table3", true, func(c *cli) (renderer, error) { return c.runner.Table3() }),
-		resultEntry("fig9", true, func(c *cli) (renderer, error) { return c.runner.Fig9() }),
-		resultEntry("fig10", true, func(c *cli) (renderer, error) { return c.runner.Fig10() }),
-		resultEntry("fig11", true, func(c *cli) (renderer, error) { return c.runner.Fig11() }),
-		resultEntry("table4", true, func(c *cli) (renderer, error) { return c.runner.Table4() }),
+		resultEntry("table1", true, func(c *cli) (experiments.Result, error) { return experiments.Table1() }),
+		resultEntry("fig4", true, func(c *cli) (experiments.Result, error) { return experiments.Fig4() }),
+		resultEntry("fig5", true, func(c *cli) (experiments.Result, error) { return experiments.Fig5() }),
+		resultEntry("fig6", true, func(c *cli) (experiments.Result, error) { return c.runner.Fig6() }),
+		resultEntry("table2", true, func(c *cli) (experiments.Result, error) { return c.runner.Table2() }),
+		resultEntry("table3", true, func(c *cli) (experiments.Result, error) { return c.runner.Table3() }),
+		resultEntry("fig9", true, func(c *cli) (experiments.Result, error) { return c.runner.Fig9() }),
+		resultEntry("fig10", true, func(c *cli) (experiments.Result, error) { return c.runner.Fig10() }),
+		resultEntry("fig11", true, func(c *cli) (experiments.Result, error) { return c.runner.Fig11() }),
+		resultEntry("table4", true, func(c *cli) (experiments.Result, error) { return c.runner.Table4() }),
 		{id: "fig12", inAll: true, run: func(c *cli, w io.Writer) error {
 			results, err := c.runner.Fig12()
 			if err != nil {
@@ -855,43 +881,32 @@ func experimentTable() []experimentEntry {
 			}
 			return c.writeFig12CSVs(results)
 		}},
-		resultEntry("ablation-routing", true, func(c *cli) (renderer, error) { return c.runner.AblationRoutingIterations() }),
-		resultEntry("ablation-lut", true, func(c *cli) (renderer, error) { return c.runner.AblationNoiseVsLUT() }),
-		resultEntry("ablation-na", true, func(c *cli) (renderer, error) { return c.runner.AblationNoiseAverage() }),
-		resultEntry("ablation-faults", true, func(c *cli) (renderer, error) { return c.runner.AblationFaultTypes() }),
-		resultEntry("ablation-selection", true, func(c *cli) (renderer, error) {
+		resultEntry("ablation-routing", true, func(c *cli) (experiments.Result, error) { return c.runner.AblationRoutingIterations() }),
+		resultEntry("ablation-lut", true, func(c *cli) (experiments.Result, error) { return c.runner.AblationNoiseVsLUT() }),
+		resultEntry("ablation-na", true, func(c *cli) (experiments.Result, error) { return c.runner.AblationNoiseAverage() }),
+		resultEntry("ablation-faults", true, func(c *cli) (experiments.Result, error) { return c.runner.AblationFaultTypes() }),
+		resultEntry("ablation-selection", true, func(c *cli) (experiments.Result, error) {
 			return c.runner.AblationSelectionStrategy(experiments.DefaultBenchmark)
 		}),
-		resultEntry("ablation-range", true, func(c *cli) (renderer, error) {
+		resultEntry("ablation-range", true, func(c *cli) (experiments.Result, error) {
 			return c.runner.AblationRangeEstimator(experiments.DefaultBenchmark)
 		}),
-		resultEntry("stability", true, func(c *cli) (renderer, error) {
+		resultEntry("stability", true, func(c *cli) (experiments.Result, error) {
 			return c.runner.Stability(experiments.DefaultBenchmark, 5)
 		}),
-		resultEntry("accel", true, func(c *cli) (renderer, error) { return experiments.Accel() }),
-		// validate used to be reachable only as a command, so `experiment
-		// all` silently skipped the noise-model validation artifact.
-		resultEntry("validate", true, func(c *cli) (renderer, error) {
-			backend := c.backend
-			if backend == "" {
-				backend = "quant-approx"
-			}
-			return c.runner.Validate(experiments.DefaultBenchmark, backend, c.bits)
-		}),
+		resultEntry("accel", true, func(c *cli) (experiments.Result, error) { return experiments.Accel() }),
+	}
+	for _, k := range experiments.JobKinds {
+		if k.InAll {
+			entries = append(entries, jobEntry(k.Command, true, k, ""))
+		}
 	}
 	for _, b := range experiments.Benchmarks {
-		b := b
-		entries = append(entries,
-			resultEntry("groups-"+b.Key(), false, func(c *cli) (renderer, error) {
-				return c.runner.GroupSweep(b, experiments.Overrides{})
-			}),
-			resultEntry("layers-"+b.Key(), false, func(c *cli) (renderer, error) {
-				return c.runner.LayerSweep(b, experiments.Overrides{})
-			}),
-			resultEntry("faults-"+b.Key(), false, func(c *cli) (renderer, error) {
-				return c.runner.FaultSweep(b, c.fault, experiments.Overrides{})
-			}),
-		)
+		for _, k := range experiments.JobKinds {
+			if k.Prefix != "" {
+				entries = append(entries, jobEntry(k.ID(b.Key()), false, k, b.Key()))
+			}
+		}
 	}
 	return entries
 }
@@ -937,51 +952,19 @@ func (c *cli) runExperiment(w io.Writer, e experimentEntry) error {
 	return e.run(c, w)
 }
 
-// csvWriter is implemented by results with a machine-readable form.
-type csvWriter interface{ WriteCSV(io.Writer) error }
-
 // writeFig12CSVs persists one CSV per Fig. 12 benchmark
-// (fig12-<benchmark>.csv). Fig. 12 is a multi-result experiment, so it
-// bypasses the single-file writeCSV path.
+// (fig12-<benchmark>.csv): Fig. 12 is a multi-result experiment.
 func (c *cli) writeFig12CSVs(results []*experiments.GroupSweepResult) error {
-	if c.csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(c.csvDir, 0o755); err != nil {
-		return err
-	}
 	for _, g := range results {
-		f, err := os.Create(filepath.Join(c.csvDir, "fig12-"+g.Benchmark.Key()+".csv"))
+		art, err := experiments.RenderArtifacts(g)
 		if err != nil {
 			return err
 		}
-		werr := g.WriteCSV(f)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
+		if err := c.saveCSV("fig12-"+g.Benchmark.Key(), art.CSV); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// writeCSV persists a result's CSV next to the text output.
-func (c *cli) writeCSV(id string, res renderer) error {
-	cw, ok := res.(csvWriter)
-	if !ok {
-		return nil
-	}
-	if err := os.MkdirAll(c.csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(c.csvDir, id+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return cw.WriteCSV(f)
 }
 
 func characterize(w io.Writer, args []string) error {

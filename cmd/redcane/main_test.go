@@ -62,7 +62,7 @@ func TestUnknownBenchmarkErrors(t *testing.T) {
 func TestValidateUnknownBackendErrors(t *testing.T) {
 	// A backend typo must fail before any training or analysis runs.
 	c := testCLI(t)
-	c.backend = "fpga"
+	c.opt.Backend = "fpga"
 	var b strings.Builder
 	err := c.run(&b, "validate", nil)
 	if err == nil {
@@ -305,5 +305,83 @@ func TestCSVFlagWritesFiles(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "chain_len") {
 		t.Fatalf("fig6.csv malformed:\n%s", data)
+	}
+}
+
+func TestBadJobFlagsAreUsageErrorsBeforeTraining(t *testing.T) {
+	// Each value is checked at startup against every job kind that takes
+	// it, whichever command runs, and fails with the service's 400 error.
+	for _, c := range []struct {
+		args []string
+		job  experiments.Job
+	}{
+		{[]string{"-bits", "20", "validate"}, experiments.Job{Kind: "validate", Bits: 20}},
+		{[]string{"-backend", "fpga", "validate"}, experiments.Job{Kind: "validate", Backend: "fpga"}},
+		{[]string{"-fault", "cosmic-ray", "design"}, experiments.Job{Kind: "fault-sweep", Fault: "cosmic-ray"}},
+		{[]string{"-fault", "stuck-at-0", "-fault-bits", "4", "fault-sweep"},
+			experiments.Job{Kind: "fault-sweep", Fault: "stuck-at-0", FaultBits: 4}},
+	} {
+		want := c.job.Normalize()
+		if want == nil {
+			t.Fatalf("%v: job %+v unexpectedly valid", c.args, c.job)
+		}
+		dir := t.TempDir()
+		var stdout, stderr strings.Builder
+		code := runMain(append([]string{"-quick", "-dir", dir, "-log-level", "off"}, c.args...), &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), want.Error()) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 with %q", c.args, code, stderr.String(), want)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("%v: wrote %d files into -dir before failing", c.args, len(files))
+		}
+	}
+}
+
+func TestJobFlagsPassCommandsThatDoNotTakeThem(t *testing.T) {
+	// A flag one kind takes never rejects another: these reach the job
+	// command, which then fails on the unknown benchmark (exit 1), not on
+	// the flag (exit 2).
+	for _, args := range [][]string{
+		{"-backend", "float", "design", "nope"},
+		{"-fault", "stuck-at-1", "validate", "nope"},
+	} {
+		var stdout, stderr strings.Builder
+		code := runMain(append([]string{"-quick", "-dir", t.TempDir(), "-log-level", "off"}, args...), &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "unknown benchmark") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 on the benchmark", args, code, stderr.String())
+		}
+	}
+}
+
+func TestEveryJobKindReachableFromCLI(t *testing.T) {
+	ids := map[string]bool{}
+	for _, id := range experimentIDs(false) {
+		ids[id] = true
+	}
+	inAll := map[string]bool{}
+	for _, id := range experimentIDs(true) {
+		inAll[id] = true
+	}
+	for _, k := range experiments.JobKinds {
+		if k.Command == "" && k.Prefix == "" {
+			t.Errorf("kind %q has neither a command nor an experiment-id prefix", k.Name)
+		}
+		if k.Command != "" {
+			// The command routes to the kind: an unknown benchmark is the
+			// job's error, not an unknown command.
+			var b strings.Builder
+			err := testCLI(t).run(&b, k.Command, []string{"nope"})
+			if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+				t.Errorf("command %q for kind %q: %v", k.Command, k.Name, err)
+			}
+		}
+		if k.InAll && !inAll[k.Command] {
+			t.Errorf("kind %q missing from 'experiment all' as %q", k.Name, k.Command)
+		}
+		for _, b := range experiments.Benchmarks {
+			if k.Prefix != "" && !ids[k.ID(b.Key())] {
+				t.Errorf("kind %q has no experiment id %q", k.Name, k.ID(b.Key()))
+			}
+		}
 	}
 }

@@ -512,6 +512,24 @@ func TestStabilityAcrossSeeds(t *testing.T) {
 	}
 }
 
+func TestStabilityHonoursNonlinearityVariants(t *testing.T) {
+	// Stability builds its analyzers like every other entry point, so the
+	// configured softmax/squash variants change its measurements.
+	r := runner(t)
+	exact, err := r.Stability(Benchmarks[4], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx := NewRunner(Config{Dir: r.Cfg.Dir, Quick: true, Seed: 42, Softmax: "base2", Squash: "sqnorm"})
+	varied, err := approx.Stability(Benchmarks[4], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Render() == varied.Render() {
+		t.Fatalf("stability ignores -softmax base2 -squash sqnorm:\n%s", varied.Render())
+	}
+}
+
 func TestAblationRangeEstimator(t *testing.T) {
 	res, err := runner(t).AblationRangeEstimator(Benchmarks[4])
 	if err != nil {

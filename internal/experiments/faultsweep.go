@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"redcane/internal/core"
 	"redcane/internal/noise"
-	"redcane/internal/plot"
 )
 
 // This file is the fault-campaign experiment: the group-wise resilience
@@ -33,25 +31,9 @@ func (r *Runner) FaultSweep(b Benchmark, spec noise.Spec, ov Overrides) (*FaultS
 	if err != nil {
 		return nil, err
 	}
-	t, err := r.Trained(b)
+	a, err := r.analyzer(b, core.Options{Seed: 26, NMSweep: core.DefaultFaultSweep, Noise: spec}, ov)
 	if err != nil {
 		return nil, err
-	}
-	opts := ov.apply(r.nonlinearize(core.Options{
-		NMSweep:   core.DefaultFaultSweep,
-		Noise:     spec,
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 26,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	})).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
 	}
 	ctx := r.ctx()
 	clean, err := a.CleanAccuracyCtx(ctx)
@@ -73,47 +55,8 @@ func (r *Runner) FaultSweep(b Benchmark, spec noise.Spec, ov Overrides) (*FaultS
 // Render formats the fault campaign's accuracy-drop curves, labeling the
 // severity axis by the injector kind.
 func (f *FaultSweepResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fault campaign [%s] — %s on %s (clean %.2f%%)\n",
-		f.Spec, f.Benchmark.Arch, f.Benchmark.Dataset, 100*f.Clean)
-	fmt.Fprintf(&b, "%-14s", f.Spec.SeverityLabel())
-	for _, p := range f.Groups[0].Points {
-		fmt.Fprintf(&b, "%8.3g", p.NM)
-	}
-	b.WriteString("\n")
-	for _, gr := range f.Groups {
-		fmt.Fprintf(&b, "%-14s", gr.Group)
-		for _, p := range gr.Points {
-			fmt.Fprintf(&b, "%+8.1f", 100*p.Drop)
-		}
-		status := ""
-		if gr.Resilient {
-			status = "  [RESILIENT]"
-		}
-		fmt.Fprintf(&b, "  (accuracy drop %%)%s\n", status)
-	}
-	b.WriteString("\n")
-	b.WriteString(f.Chart().Render())
-	return b.String()
-}
-
-// Chart builds the accuracy-drop line chart of the campaign.
-func (f *FaultSweepResult) Chart() *plot.Chart {
-	c := &plot.Chart{
-		Title:  fmt.Sprintf("accuracy drop [%%] vs %s (%s)", f.Spec.SeverityLabel(), f.Spec),
-		XLabel: f.Spec.SeverityLabel() + " (descending)",
-		Height: 12,
-	}
-	for _, p := range f.Groups[0].Points {
-		c.XTicks = append(c.XTicks, fmt.Sprintf("%.3g", p.NM))
-	}
-	c.Width = 6 * len(c.XTicks)
-	for _, gr := range f.Groups {
-		s := plot.Series{Name: gr.Group.String()}
-		for _, p := range gr.Points {
-			s.Values = append(s.Values, 100*p.Drop)
-		}
-		c.Series = append(c.Series, s)
-	}
-	return c
+	axis := f.Spec.SeverityLabel()
+	return renderCurves(fmt.Sprintf("fault campaign [%s] — %s on %s (clean %.2f%%)\n",
+		f.Spec, f.Benchmark.Arch, f.Benchmark.Dataset, 100*f.Clean),
+		axis, fmt.Sprintf("accuracy drop [%%] vs %s (%s)", axis, f.Spec), f.Groups)
 }

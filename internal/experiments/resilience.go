@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"redcane/internal/approx"
@@ -98,20 +99,13 @@ type GroupSweepResult struct {
 // submitted without overrides are byte-identical to the corresponding CLI
 // experiment (same seed, same options fingerprint).
 type Overrides struct {
-	// NMSweep replaces the noise-magnitude grid (nil keeps
-	// core.PaperNMSweep). The grid is normalized by Options.WithDefaults.
-	NMSweep []float64
+	// NMSweep replaces the noise-magnitude grid (nil keeps the entry
+	// point's default grid); for fault sweeps it is the severity grid
+	// (flip probability or stuck fraction). The grid is normalized by
+	// Options.WithDefaults.
+	NMSweep []float64 `json:"nm_sweep,omitempty"`
 	// NA replaces the noise average (paper default 0).
-	NA float64
-}
-
-// apply folds the overrides into opts.
-func (ov Overrides) apply(opts core.Options) core.Options {
-	if ov.NMSweep != nil {
-		opts.NMSweep = ov.NMSweep
-	}
-	opts.NA = ov.NA
-	return opts
+	NA float64 `json:"na,omitempty"`
 }
 
 // GroupSweep runs methodology Steps 1–3 (the group-wise resilience
@@ -120,24 +114,9 @@ func (ov Overrides) apply(opts core.Options) core.Options {
 // returns the structured result (Render/WriteCSV produce the CLI's
 // artifacts) instead of printing.
 func (r *Runner) GroupSweep(b Benchmark, ov Overrides) (*GroupSweepResult, error) {
-	t, err := r.Trained(b)
+	a, err := r.analyzer(b, core.Options{Seed: 21}, ov)
 	if err != nil {
 		return nil, err
-	}
-	opts := ov.apply(r.nonlinearize(core.Options{
-		NMSweep:   core.PaperNMSweep,
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 21,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	})).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
 	}
 	ctx := r.ctx()
 	clean, err := a.CleanAccuracyCtx(ctx)
@@ -177,15 +156,24 @@ func (r *Runner) Fig12() ([]*GroupSweepResult, error) {
 // Render formats the accuracy-drop curves as a table plus an ASCII chart
 // (the text analogue of the paper's Fig. 9/12 panels).
 func (g *GroupSweepResult) Render() string {
+	return renderCurves(fmt.Sprintf("group-wise resilience — %s on %s (clean %.2f%%)\n",
+		g.Benchmark.Arch, g.Benchmark.Dataset, 100*g.Clean),
+		"NM", "accuracy drop [%] vs noise magnitude", g.Groups)
+}
+
+// renderCurves formats group-wise accuracy-drop curves as a table plus an
+// ASCII line chart under the given header line. Group sweeps and fault
+// campaigns differ only in that header, the severity-axis label and the
+// chart title.
+func renderCurves(header, axis, title string, groups []core.GroupResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "group-wise resilience — %s on %s (clean %.2f%%)\n",
-		g.Benchmark.Arch, g.Benchmark.Dataset, 100*g.Clean)
-	fmt.Fprintf(&b, "%-14s", "NM")
-	for _, p := range g.Groups[0].Points {
+	b.WriteString(header)
+	fmt.Fprintf(&b, "%-14s", axis)
+	for _, p := range groups[0].Points {
 		fmt.Fprintf(&b, "%8.3g", p.NM)
 	}
 	b.WriteString("\n")
-	for _, gr := range g.Groups {
+	for _, gr := range groups {
 		fmt.Fprintf(&b, "%-14s", gr.Group)
 		for _, p := range gr.Points {
 			fmt.Fprintf(&b, "%+8.1f", 100*p.Drop)
@@ -197,29 +185,20 @@ func (g *GroupSweepResult) Render() string {
 		fmt.Fprintf(&b, "  (accuracy drop %%)%s\n", status)
 	}
 	b.WriteString("\n")
-	b.WriteString(g.Chart().Render())
-	return b.String()
-}
-
-// Chart builds the accuracy-drop line chart of the sweep.
-func (g *GroupSweepResult) Chart() *plot.Chart {
-	c := &plot.Chart{
-		Title:  "accuracy drop [%] vs noise magnitude",
-		XLabel: "NM (descending)",
-		Height: 12,
-	}
-	for _, p := range g.Groups[0].Points {
+	c := &plot.Chart{Title: title, XLabel: axis + " (descending)", Height: 12}
+	for _, p := range groups[0].Points {
 		c.XTicks = append(c.XTicks, fmt.Sprintf("%.3g", p.NM))
 	}
 	c.Width = 6 * len(c.XTicks)
-	for _, gr := range g.Groups {
+	for _, gr := range groups {
 		s := plot.Series{Name: gr.Group.String()}
 		for _, p := range gr.Points {
 			s.Values = append(s.Values, 100*p.Drop)
 		}
 		c.Series = append(c.Series, s)
 	}
-	return c
+	b.WriteString(c.Render())
+	return b.String()
 }
 
 // Fig10Result is the layer-wise resilience of the non-resilient groups
@@ -239,24 +218,9 @@ func (r *Runner) Fig10() (*Fig10Result, error) {
 // resilience analysis of the non-resilient groups, Fig. 10) on one
 // benchmark — the job-shaped generalization of Fig10.
 func (r *Runner) LayerSweep(b Benchmark, ov Overrides) (*Fig10Result, error) {
-	t, err := r.Trained(b)
+	a, err := r.analyzer(b, core.Options{Seed: 22}, ov)
 	if err != nil {
 		return nil, err
-	}
-	opts := ov.apply(r.nonlinearize(core.Options{
-		NMSweep:   core.PaperNMSweep,
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 22,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	})).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
 	}
 	ctx := r.ctx()
 	clean, err := a.CleanAccuracyCtx(ctx)
@@ -301,7 +265,7 @@ type DesignResult struct {
 // Design runs the complete ReD-CaNe methodology on one benchmark using
 // the real conv-input distribution for component characterization.
 func (r *Runner) Design(b Benchmark) (*DesignResult, error) {
-	t, err := r.Trained(b)
+	a, err := r.analyzer(b, core.Options{Seed: 23}, Overrides{})
 	if err != nil {
 		return nil, err
 	}
@@ -318,20 +282,6 @@ func (r *Runner) Design(b Benchmark) (*DesignResult, error) {
 	// length closest to its layer's real MAC fan-in (Fig. 6).
 	profiles := core.ProfileLibraryDepths(
 		approx.EmpiricalDist(fig11.PoolA, fig11.PoolB), core.LibraryChainLens, samples, r.Cfg.Seed+9)
-	opts := r.nonlinearize(core.Options{
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 23,
-		MaxEval:   r.evalCap(),
-		Workers:   r.Cfg.Workers,
-	}).WithDefaults()
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-		Fleet:      r.Cfg.Fleet,
-	}
 	report, err := a.RunMethodology(r.ctx(), profiles)
 	if err != nil {
 		return nil, err
@@ -342,24 +292,16 @@ func (r *Runner) Design(b Benchmark) (*DesignResult, error) {
 // Render formats the design report.
 func (d *DesignResult) Render() string { return core.FormatReport(d.Report) }
 
+// WriteJSON writes the design report as JSON.
+func (d *DesignResult) WriteJSON(w io.Writer) error { return d.Report.WriteJSON(w) }
+
 // RefineDesign applies the validate-and-repair extension (core.Refine) to
 // an existing design: while the composed approximate CapsNet exceeds the
 // tolerable accuracy drop, the noisiest component assignment is upgraded.
 func (r *Runner) RefineDesign(b Benchmark, d *DesignResult) (core.RefineResult, error) {
-	t, err := r.Trained(b)
+	a, err := r.analyzer(b, core.Options{Seed: 24}, Overrides{})
 	if err != nil {
 		return core.RefineResult{}, err
-	}
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(),
-		Opts: r.nonlinearize(core.Options{
-			Trials:    r.trials(),
-			Batch:     32,
-			Threshold: r.threshold(),
-			Seed:      r.Cfg.Seed + 24,
-			MaxEval:   r.evalCap(),
-			Workers:   r.Cfg.Workers,
-		}),
 	}
 	return a.Refine(r.ctx(), d.Report.Choices, d.profiles, d.Report.CleanAccuracy, r.threshold(), 50)
 }

@@ -257,14 +257,41 @@ func (r *Runner) threshold() float64 {
 	return 0.01
 }
 
-// nonlinearize folds the configured softmax/squash variants into an
-// analysis option set. Every analyzer the runner builds goes through
-// here, so one Config selection applies uniformly across sweeps, designs
-// and validations.
-func (r *Runner) nonlinearize(opts core.Options) core.Options {
-	opts.Softmax = r.Cfg.Softmax
-	opts.Squash = r.Cfg.Squash
-	return opts
+// analyzer builds the analyzer an analysis entry point runs on b: the
+// trained network, the runner's telemetry, probes and fleet, and a
+// checkpoint keyed by the final options. Every entry point builds through
+// here, so one Config (evaluation depth, softmax/squash variants) applies
+// to all of them. base holds the entry point's own options: its Seed is
+// an offset from the master seed (fixed per entry point, since checkpoint
+// fingerprints include it), its NMSweep and Noise the default grid and
+// injector, and a zero Trials or MaxEval takes the runner's evaluation
+// depth. ov then replaces the grid (when set) and the noise average.
+func (r *Runner) analyzer(b Benchmark, base core.Options, ov Overrides) (*core.Analyzer, error) {
+	t, err := r.Trained(b)
+	if err != nil {
+		return nil, err
+	}
+	opts := base
+	opts.Seed += r.Cfg.Seed
+	if opts.Trials == 0 {
+		opts.Trials = r.trials()
+	}
+	if opts.MaxEval == 0 {
+		opts.MaxEval = r.evalCap()
+	}
+	opts.Batch, opts.Threshold, opts.Workers = 32, r.threshold(), r.Cfg.Workers
+	opts.Softmax, opts.Squash = r.Cfg.Softmax, r.Cfg.Squash
+	if ov.NMSweep != nil {
+		opts.NMSweep = ov.NMSweep
+	}
+	opts.NA = ov.NA
+	opts = opts.WithDefaults()
+	return &core.Analyzer{
+		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
+		Checkpoint: r.analysisCheckpoint(b, opts),
+		Probes:     r.Cfg.Probes,
+		Fleet:      r.Cfg.Fleet,
+	}, nil
 }
 
 // trials is the number of noise seeds averaged per sweep point.

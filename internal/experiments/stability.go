@@ -30,23 +30,12 @@ type StabilityResult struct {
 
 // Stability re-runs the group-wise analysis under n independent seeds.
 func (r *Runner) Stability(b Benchmark, n int) (*StabilityResult, error) {
-	t, err := r.Trained(b)
-	if err != nil {
-		return nil, err
-	}
 	sums := map[noise.Group][]float64{}
 	holds := 0
 	for s := 0; s < n; s++ {
-		a := &core.Analyzer{
-			Net: t.Net, Data: t.Data, Obs: r.obs(),
-			Opts: core.Options{
-				Trials:    1,
-				Batch:     32,
-				Threshold: r.threshold(),
-				Seed:      r.Cfg.Seed + 1000*uint64(s+1),
-				MaxEval:   r.evalCap(),
-				Workers:   r.Cfg.Workers,
-			}.WithDefaults(),
+		a, err := r.analyzer(b, core.Options{Seed: 1000 * uint64(s+1), Trials: 1}, Overrides{})
+		if err != nil {
+			return nil, err
 		}
 		clean, err := a.CleanAccuracyCtx(r.ctx())
 		if err != nil {

@@ -117,26 +117,14 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 	if err != nil {
 		return nil, err
 	}
-	t, err := r.Trained(b)
-	if err != nil {
-		return nil, err
-	}
-
 	// Bit-accurate execution is the scalar quantized path — far slower
 	// than the float engine — so the evaluation split is capped tighter
 	// than the sweeps'.
-	maxEval := r.evalCap()
-	if maxEval > 100 {
-		maxEval = 100
+	a, err := r.analyzer(b, core.Options{Seed: 25, MaxEval: min(r.evalCap(), 100)}, Overrides{})
+	if err != nil {
+		return nil, err
 	}
-	opts := r.nonlinearize(core.Options{
-		Trials:    r.trials(),
-		Batch:     32,
-		Threshold: r.threshold(),
-		Seed:      r.Cfg.Seed + 25,
-		MaxEval:   maxEval,
-		Workers:   r.Cfg.Workers,
-	}).WithDefaults()
+	opts := a.Opts
 	// The prediction passes run under the same softmax/squash variants as
 	// the analyzer's measurements, so an approximate-nonlinearity
 	// validation compares like with like.
@@ -145,11 +133,6 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 		return nil, err
 	}
 	predBe := caps.WithNonlinearity(caps.Float{}, nl)
-	a := &core.Analyzer{
-		Net: t.Net, Data: t.Data, Obs: r.obs(), Opts: opts,
-		Checkpoint: r.analysisCheckpoint(b, opts),
-		Probes:     r.Cfg.Probes,
-	}
 	ctx := r.ctx()
 	sp := r.obs().StartSpan("experiment.validate",
 		obs.F("benchmark", b.Key()), obs.F("backend", backendName), obs.F("bits", bits))
@@ -174,7 +157,11 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 	}
 	out.QuantBaseline = baseline
 
-	x, y := capEval(t, maxEval)
+	t, err := r.Trained(b)
+	if err != nil {
+		return nil, err
+	}
+	x, y := capEval(t, opts.MaxEval)
 	choices := d.Report.Choices
 	row := func(scope, name string, subset []core.Choice) error {
 		macSites := 0

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"redcane/internal/checkpoint"
+	"redcane/internal/experiments"
 	"redcane/internal/noise"
 	"redcane/internal/obs"
 )
@@ -31,15 +32,28 @@ func postRaw(t *testing.T, url, body string) (int, string) {
 func TestFaultSweepSpecValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, instantRun(Artifacts{Text: "x"}))
 
-	// The unknown-kind error must name every valid kind — including the
-	// new fault-sweep — so a user can self-correct from the 400 body.
+	// The unknown-kind error must name every valid kind, so a user can
+	// self-correct from the 400 body. Every row of the job-kind table is
+	// a submittable kind, distributed exactly when its row allows it.
 	code, body := postRaw(t, ts.URL, `{"kind":"bogus"}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown kind: HTTP %d", code)
 	}
-	for _, k := range JobKinds {
-		if !strings.Contains(body, k) {
-			t.Errorf("unknown-kind 400 %q does not list %q", body, k)
+	for _, k := range experiments.JobKinds {
+		if !strings.Contains(body, k.Name) {
+			t.Errorf("unknown-kind 400 %q does not list %q", body, k.Name)
+		}
+		st, resp := postJob(t, ts, `{"kind":"`+k.Name+`"}`)
+		if resp.StatusCode != http.StatusCreated || st.Spec.Kind != k.Name {
+			t.Fatalf("submit kind %q: HTTP %d, spec %+v", k.Name, resp.StatusCode, st.Spec)
+		}
+		waitState(t, ts, st.ID, StateDone)
+		want := http.StatusBadRequest
+		if k.Distributed {
+			want = http.StatusCreated
+		}
+		if code, body := postRaw(t, ts.URL, `{"kind":"`+k.Name+`","distributed":true}`); code != want {
+			t.Errorf("distributed %q: HTTP %d (%s), want %d", k.Name, code, body, want)
 		}
 	}
 
@@ -74,7 +88,7 @@ func TestFaultSweepSpecValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("fault-sweep submit: HTTP %d", resp.StatusCode)
 	}
-	if st.Spec.Kind != KindFaultSweep || st.Spec.Fault != noise.KindBitFlip || st.Spec.FaultBits != 8 {
+	if st.Spec.Kind != "fault-sweep" || st.Spec.Fault != noise.KindBitFlip || st.Spec.FaultBits != 8 {
 		t.Fatalf("normalized spec = %+v", st.Spec)
 	}
 	if st.Spec.Softmax != "" || st.Spec.Squash != "" {

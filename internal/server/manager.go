@@ -1,8 +1,7 @@
 // Package server is the long-running analysis service behind
 // `redcane serve`: an HTTP/JSON front-end that queues, runs, streams and
-// persists resilience-analysis jobs (group/layer noise sweeps, the full
-// methodology, bit-accurate validation) on top of the existing
-// experiment runner.
+// persists resilience-analysis jobs of the kinds the job-kind table
+// (experiments.JobKinds) defines, on top of the experiment runner.
 //
 // Design invariants:
 //
@@ -12,9 +11,10 @@
 //     directory re-enqueues unfinished jobs, which resume from their
 //     last completed sweep window and produce byte-identical results
 //     (the checkpoint + counter-seeded-RNG guarantee of the engine).
-//   - Results equal the CLI's. A job runs the same job-shaped entry
-//     point as the corresponding CLI command with the same options, so
-//     its artifacts are byte-identical given the same seed.
+//   - Results equal the CLI's. A job runs through the same
+//     experiments.Runner.Run as the corresponding CLI command with the
+//     same options, so its artifacts are byte-identical given the same
+//     seed.
 //   - The worker budget is process-wide. Options.Workers is divided
 //     across the configured job slots, so concurrency between jobs never
 //     multiplies the evaluation goroutines.

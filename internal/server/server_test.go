@@ -165,6 +165,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind":"group-sweep","backend":"float"}`,
 		`{"kind":"validate","backend":"fpga"}`,
 		`{"kind":"validate","bits":99}`,
+		// Sweep overrides on kinds that run the paper defaults regardless.
+		`{"kind":"methodology","nm_sweep":[0.5]}`,
+		`{"kind":"validate","na":0.3}`,
 		`not json`,
 	} {
 		if _, resp := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
@@ -176,7 +179,7 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("case-insensitive submit: HTTP %d", resp.StatusCode)
 	}
-	if st.Spec.Kind != KindValidate || st.Spec.Benchmark != "capsnet-mnist-like" ||
+	if st.Spec.Kind != "validate" || st.Spec.Benchmark != "capsnet-mnist-like" ||
 		st.Spec.Backend != "quant-approx" || st.Spec.Bits != 8 {
 		t.Fatalf("normalized spec = %+v", st.Spec)
 	}
@@ -495,7 +498,7 @@ func TestHTTPGroupSweepMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantArt, err := artifactsFor(want)
+	wantArt, err := experiments.RenderArtifacts(want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"redcane/internal/experiments"
 	"redcane/internal/obs"
 )
 
@@ -428,7 +429,7 @@ func TestClientRoundTrip(t *testing.T) {
 	cl := NewClient(ts.URL+"/", "ka") // trailing slash must not double up
 	ctx := context.Background()
 
-	st, err := cl.Submit(ctx, JobSpec{Kind: "group-sweep", Priority: "high"})
+	st, err := cl.Submit(ctx, JobSpec{Job: experiments.Job{Kind: "group-sweep"}, Priority: "high"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +455,7 @@ func TestClientRoundTrip(t *testing.T) {
 
 	// A wrong key surfaces as a typed APIError with the 401 status.
 	bad := NewClient(ts.URL, "wrong")
-	_, err = bad.Submit(ctx, JobSpec{Kind: "group-sweep"})
+	_, err = bad.Submit(ctx, JobSpec{Job: experiments.Job{Kind: "group-sweep"}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnauthorized {
 		t.Fatalf("bad-key Submit err = %v", err)
