@@ -223,7 +223,7 @@ func BenchmarkAblationFaultTypes(b *testing.B) {
 func BenchmarkAblationSelectionStrategy(b *testing.B) {
 	r := runner(b)
 	for i := 0; i < b.N; i++ {
-		res, err := r.AblationSelectionStrategy(experiments.Benchmarks[4])
+		res, err := r.AblationSelectionStrategy(experiments.DefaultBenchmark)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func BenchmarkAblationSelectionStrategy(b *testing.B) {
 func BenchmarkAblationRangeEstimator(b *testing.B) {
 	r := runner(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := r.AblationRangeEstimator(experiments.Benchmarks[4]); err != nil {
+		if _, err := r.AblationRangeEstimator(experiments.DefaultBenchmark); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func BenchmarkAblationRangeEstimator(b *testing.B) {
 func BenchmarkStabilityAcrossSeeds(b *testing.B) {
 	r := runner(b)
 	for i := 0; i < b.N; i++ {
-		res, err := r.Stability(experiments.Benchmarks[4], 3)
+		res, err := r.Stability(experiments.DefaultBenchmark, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func BenchmarkStabilityAcrossSeeds(b *testing.B) {
 func BenchmarkDesignEndToEnd(b *testing.B) {
 	r := runner(b)
 	for i := 0; i < b.N; i++ {
-		res, err := r.Design(experiments.Benchmarks[4])
+		res, err := r.Design(experiments.DefaultBenchmark)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func BenchmarkDynamicRoutingKernel(b *testing.B) {
 	x := tensor.New(8, 64, 8).FillNormal(tensor.NewRNG(4), 0, 0.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Forward(x, noise.None{})
+		l.Forward(x, noise.None{}, nil, caps.Float{})
 	}
 }
 
@@ -425,25 +425,24 @@ func sweepBenchAnalyzer(b *testing.B) (*core.Analyzer, float64) {
 	return a, a.CleanAccuracy()
 }
 
-// naiveSweep replays the pre-engine sweep strategy — one full forward
-// pass per (point, trial), no prefix caching, no scratch reuse — as the
-// baseline for the engine benchmarks below.
+// naiveSweep replays the pre-engine sweep strategy — one full serial
+// forward pass per (point, trial), no prefix caching — as the baseline
+// for the engine benchmarks below. It runs on the engine's evaluator at
+// one worker: a noisy evaluation replays no prefix.
 func naiveSweep(b *testing.B, a *core.Analyzer, filter noise.Filter) {
 	b.Helper()
-	o := a.Opts
-	x, y := a.Data.TestX, a.Data.TestY
-	if o.MaxEval > 0 && o.MaxEval < x.Shape[0] {
-		sample := x.Len() / x.Shape[0]
-		x = tensor.NewFrom(x.Data[:o.MaxEval*sample], append([]int{o.MaxEval}, x.Shape[1:]...)...)
-		y = y[:o.MaxEval]
-	}
+	serial := *a
+	serial.Opts.Workers = 1
+	o := serial.Opts
 	for pi, nm := range o.NMSweep {
 		if nm == 0 {
 			continue
 		}
 		for trial := 0; trial < o.Trials; trial++ {
 			inj := noise.NewGaussian(nm, o.NA, filter, o.Seed+uint64(pi)*1000+uint64(trial))
-			caps.AccuracyWorkers(a.Net, x, y, inj, o.Batch, 1)
+			if _, err := serial.Evaluate(context.Background(), nil, inj, ""); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ func main() {
 		Seed:  42,
 	})
 
-	b := experiments.Benchmarks[4] // capsnet on the digit dataset
+	b := experiments.DefaultBenchmark
 	fmt.Printf("running the 6-step ReD-CaNe methodology on %s...\n\n", b.Key())
 
 	design, err := r.Design(b)

@@ -1,7 +1,6 @@
 package axe
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -151,7 +150,7 @@ func TestQuantExactHighBitsConvergesToFloat(t *testing.T) {
 func TestQuantExactClassifyMostlyMatchesFloat(t *testing.T) {
 	net := buildTinyNet(10)
 	x := randT(11, 4, 1, 6, 6)
-	clean := net.Classify(x, noise.None{})
+	clean := net.ClassifyFromExec(0, x, noise.None{}, nil, caps.Float{})
 	got := net.ClassifyFromExec(0, x, noise.None{}, nil, QuantExact{Bits: 8})
 	same := 0
 	for i := range clean {
@@ -244,31 +243,6 @@ func TestQuantApproxRoutingMACCoverage(t *testing.T) {
 		if !diff {
 			t.Fatalf("approximating %s did not change the forward pass", layer)
 		}
-	}
-}
-
-func TestAccuracyExecWorkerInvariantWithQuantBackend(t *testing.T) {
-	// The engine-wide determinism contract extends to quantized backends:
-	// identical results for any worker count.
-	net := buildRoutingNet(18)
-	x := randT(19, 6, 1, 6, 6)
-	labels := []int{0, 1, 2, 0, 1, 2}
-	be, err := NewQuantApprox(8, map[string]approx.Multiplier{
-		"Caps2D1": approx.DRUM{K: 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := caps.AccuracyExec(context.Background(), net, x, labels, noise.None{}, be, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a3, err := caps.AccuracyExec(context.Background(), net, x, labels, noise.None{}, be, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a3 {
-		t.Fatalf("accuracy depends on workers: %g vs %g", a1, a3)
 	}
 }
 

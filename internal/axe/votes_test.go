@@ -43,7 +43,7 @@ func TestQuantClassCapsVotesMatchesFloatWithExactMultiplier(t *testing.T) {
 func TestBackendApproximatesClassCapsLayer(t *testing.T) {
 	net := buildTinyNet(30)
 	x := randT(31, 5, 1, 6, 6)
-	clean := net.Classify(x, noise.None{})
+	clean := net.ClassifyFromExec(0, x, noise.None{}, nil, caps.Float{})
 
 	got := net.ClassifyFromExec(0, x, noise.None{}, nil, QuantExact{Bits: 8})
 	agree := 0

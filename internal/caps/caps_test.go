@@ -51,7 +51,7 @@ func newClassCaps(name string, inCaps, inDim, outCaps, outDim, iters int, seed u
 func TestConv2DForwardShapeAndSites(t *testing.T) {
 	l := newConv("Conv2D", 3, 8, 3, 1, 1, true, 1)
 	x := rt(2, 2, 3, 8, 8)
-	y := l.Forward(x, noise.None{})
+	y := l.Forward(x, noise.None{}, nil, Float{})
 	want := []int{2, 8, 8, 8}
 	for i, d := range want {
 		if y.Shape[i] != d {
@@ -80,7 +80,7 @@ func TestConv2DNoReLUSingleSite(t *testing.T) {
 func TestConvCaps2DSquashBoundsNorms(t *testing.T) {
 	l := newCaps2D("Caps2D1", 4, 3, 4, 3, 2, 1, 4)
 	x := rt(5, 2, 4, 8, 8)
-	y := l.Forward(x, noise.None{})
+	y := l.Forward(x, noise.None{}, nil, Float{})
 	if y.Shape[1] != 12 {
 		t.Fatalf("channels = %d, want caps*dim=12", y.Shape[1])
 	}
@@ -105,7 +105,7 @@ func TestConvCaps2DSkipSquash(t *testing.T) {
 func TestConvCaps3DForwardShapeAndRouting(t *testing.T) {
 	l := newCaps3D("Caps3D", 4, 4, 5, 6, 3, 1, 1, 3, 7)
 	x := rt(8, 2, 16, 4, 4) // 4 caps × 4 dim
-	y := l.Forward(x, noise.None{})
+	y := l.Forward(x, noise.None{}, nil, Float{})
 	want := []int{2, 30, 4, 4} // 5 caps × 6 dim
 	for i, d := range want {
 		if y.Shape[i] != d {
@@ -155,7 +155,7 @@ func TestNonRoutingLayersHaveNoRoutingGroups(t *testing.T) {
 func TestClassCapsForwardShape(t *testing.T) {
 	l := newClassCaps("ClassCaps", 2*3*3, 4, 10, 16, 3, 13)
 	x := rt(14, 2, 8, 3, 3) // 2 caps × 4 dim at 3×3
-	y := l.Forward(x, noise.None{})
+	y := l.Forward(x, noise.None{}, nil, Float{})
 	want := []int{2, 10, 16}
 	for i, d := range want {
 		if y.Shape[i] != d {
@@ -167,7 +167,7 @@ func TestClassCapsForwardShape(t *testing.T) {
 func TestClassCapsAcceptsRank3Input(t *testing.T) {
 	l := newClassCaps("ClassCaps", 6, 4, 3, 8, 3, 15)
 	x := rt(16, 2, 6, 4)
-	y := l.Forward(x, noise.None{})
+	y := l.Forward(x, noise.None{}, nil, Float{})
 	if y.Shape[1] != 3 || y.Shape[2] != 8 {
 		t.Fatalf("shape = %v", y.Shape)
 	}
@@ -177,7 +177,7 @@ func TestRoutingCouplingCoefficientsSeenByInjector(t *testing.T) {
 	l := newClassCaps("CC", 4, 4, 3, 4, 3, 17)
 	x := rt(18, 1, 4, 4)
 	rec := noise.NewSiteRecorder()
-	l.Forward(x, rec)
+	l.Forward(x, rec, nil, Float{})
 	byGroup := rec.ByGroup()
 	for _, g := range noise.Groups() {
 		if len(byGroup[g]) == 0 {
@@ -192,8 +192,8 @@ func TestRoutingIterationsChangeOutput(t *testing.T) {
 	x := rt(19, 1, 16, 4, 4)
 	l1 := newCaps3D("C", 4, 4, 4, 4, 3, 1, 1, 1, 20)
 	l3 := newCaps3D("C", 4, 4, 4, 4, 3, 1, 1, 3, 20)
-	y1 := l1.Forward(x, noise.None{})
-	y3 := l3.Forward(x, noise.None{})
+	y1 := l1.Forward(x, noise.None{}, nil, Float{})
+	y3 := l3.Forward(x, noise.None{}, nil, Float{})
 	diff := 0.0
 	for i := range y1.Data {
 		diff += math.Abs(y1.Data[i] - y3.Data[i])
@@ -238,7 +238,7 @@ func buildTinyCell(seed uint64) *CapsCell {
 func TestCapsCellForwardAndSites(t *testing.T) {
 	cell := buildTinyCell(22)
 	x := rt(23, 2, 8, 8, 8)
-	y := cell.Forward(x, noise.None{})
+	y := cell.Forward(x, noise.None{}, nil, Float{})
 	want := []int{2, 8, 4, 4}
 	for i, d := range want {
 		if y.Shape[i] != d {
@@ -296,33 +296,21 @@ func TestNetworkClassifyAndAccuracy(t *testing.T) {
 		},
 	}
 	x := rt(42, 6, 1, 6, 6)
-	preds := net.Classify(x, noise.None{})
+	preds := net.ClassifyFromExec(0, x, noise.None{}, nil, Float{})
 	if len(preds) != 6 {
 		t.Fatalf("preds = %v", preds)
 	}
-	for _, p := range preds {
+	// Each prediction is the class capsule with the largest norm.
+	scores := tensor.NormAxis(net.Forward(x, noise.None{}), 2)
+	for b, p := range preds {
 		if p < 0 || p >= 3 {
 			t.Fatalf("class %d out of range", p)
 		}
-	}
-	// Accuracy against the network's own predictions is 1.
-	if acc := Accuracy(net, x, preds, noise.None{}, 2); acc != 1 {
-		t.Fatalf("self-accuracy = %g", acc)
-	}
-	// Accuracy against shifted labels is 0..<1.
-	wrong := make([]int, len(preds))
-	for i, p := range preds {
-		wrong[i] = (p + 1) % 3
-	}
-	if acc := Accuracy(net, x, wrong, noise.None{}, 4); acc != 0 {
-		t.Fatalf("wrong-label accuracy = %g", acc)
-	}
-}
-
-func TestAccuracyEmptyDataset(t *testing.T) {
-	net := &Network{NetName: "n", InputShape: []int{1, 2, 2}}
-	if acc := Accuracy(net, tensor.New(0, 1, 2, 2), nil, noise.None{}, 4); acc != 0 {
-		t.Fatalf("empty accuracy = %g", acc)
+		for c := 0; c < 3; c++ {
+			if scores.At(b, c) > scores.At(b, p) {
+				t.Fatalf("sample %d: class %d scores %g above predicted %d (%g)", b, c, scores.At(b, c), p, scores.At(b, p))
+			}
+		}
 	}
 }
 
@@ -339,13 +327,14 @@ func TestNoiseInMACOutputsPerturbsPredictionsMoreThanSoftmax(t *testing.T) {
 		},
 	}
 	x := rt(52, 8, 1, 6, 6)
-	clean := net.ClassScores(x, noise.None{})
+	classScores := func(inj noise.Injector) *tensor.Tensor { return tensor.NormAxis(net.Forward(x, inj), 2) }
+	clean := classScores(noise.None{})
 
 	drift := func(g noise.Group) float64 {
 		d := 0.0
 		for trial := uint64(0); trial < 5; trial++ {
 			inj := noise.NewGaussian(0.3, 0, noise.ForGroup(g), 100+trial)
-			noisy := net.ClassScores(x, inj)
+			noisy := classScores(inj)
 			for i := range clean.Data {
 				d += math.Abs(noisy.Data[i] - clean.Data[i])
 			}
@@ -367,5 +356,5 @@ func TestCellBranchShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on branch shape mismatch")
 		}
 	}()
-	cell.Forward(rt(62, 1, 8, 8, 8), noise.None{})
+	cell.Forward(rt(62, 1, 8, 8, 8), noise.None{}, nil, Float{})
 }

@@ -21,9 +21,10 @@ import (
 type Layer interface {
 	// Name returns the unique layer name used in injection sites.
 	Name() string
-	// Forward runs the layer, passing every instrumented intermediate
-	// tensor through inj.
-	Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor
+	// Forward runs the layer on execution backend be, passing every
+	// instrumented intermediate tensor through inj and recycling
+	// temporaries through the scratch arena s (nil allocates fresh).
+	Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor
 	// Sites enumerates the layer's injection points in visit order.
 	Sites() []noise.Site
 	// Params exposes the layer's weights keyed by a stable name, for
@@ -49,13 +50,7 @@ type Conv2D struct {
 func (l *Conv2D) Name() string { return l.LayerName }
 
 // Forward implements Layer.
-func (l *Conv2D) Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	return l.ForwardExec(x, inj, nil, Float{})
-}
-
-// ForwardExec runs the layer under an execution backend, with an optional
-// scratch arena for the convolution temporaries (nil allocates fresh).
-func (l *Conv2D) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
+func (l *Conv2D) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	y := be.Conv2D(l.LayerName, x, l.W, l.B, l.Stride, l.Pad, s)
 	y = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, y)
 	if l.ReLU {
@@ -111,13 +106,7 @@ type ConvCaps2D struct {
 func (l *ConvCaps2D) Name() string { return l.LayerName }
 
 // Forward implements Layer.
-func (l *ConvCaps2D) Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	return l.ForwardExec(x, inj, nil, Float{})
-}
-
-// ForwardExec runs the layer under an execution backend, with an optional
-// scratch arena for the convolution temporaries (nil allocates fresh).
-func (l *ConvCaps2D) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
+func (l *ConvCaps2D) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	y := be.Conv2D(l.LayerName, x, l.W, l.B, l.Stride, l.Pad, s)
 	y = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, y)
 	if l.SkipSquash {

@@ -1,9 +1,7 @@
 package caps
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -29,19 +27,13 @@ type CapsCell struct {
 // Name implements Layer.
 func (c *CapsCell) Name() string { return c.CellName }
 
-// Forward implements Layer.
-func (c *CapsCell) Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	return c.ForwardExec(x, inj, nil, Float{})
-}
-
-// ForwardExec runs the cell under an execution backend, threading the
-// scratch arena through all four branch layers and recycling the branch
-// activations once summed.
-func (c *CapsCell) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
-	a := forwardLayer(c.L1, x, inj, s, be)
-	b := forwardLayer(c.L2, a, inj, s, be)
-	main := forwardLayer(c.L3, b, inj, s, be)
-	skip := forwardLayer(c.Skip, a, inj, s, be)
+// Forward implements Layer, threading the scratch arena through all four
+// branch layers and recycling the branch activations once summed.
+func (c *CapsCell) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
+	a := c.L1.Forward(x, inj, s, be)
+	b := c.L2.Forward(a, inj, s, be)
+	main := c.L3.Forward(b, inj, s, be)
+	skip := c.Skip.Forward(a, inj, s, be)
 	if !main.SameShape(skip) {
 		panic(fmt.Sprintf("caps: cell %s branch shapes %v vs %v", c.CellName, main.Shape, skip.Shape))
 	}
@@ -107,26 +99,10 @@ type Network struct {
 // Name returns the network's name.
 func (n *Network) Name() string { return n.NetName }
 
-// execForwarder is implemented by layers whose forward pass can recycle
-// temporaries through a scratch arena and run on a pluggable execution
-// backend. Layers without it fall back to plain Forward (float only).
-type execForwarder interface {
-	ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor
-}
-
 // scratchPool recycles per-forward scratch arenas across calls. Each
 // Forward borrows one arena for its whole pass, so concurrent forwards
 // never share buffers.
 var scratchPool = sync.Pool{New: func() any { return tensor.NewScratch() }}
-
-// forwardLayer runs one layer, threading the scratch arena and execution
-// backend when the layer supports them.
-func forwardLayer(l Layer, x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
-	if ef, ok := l.(execForwarder); ok {
-		return ef.ForwardExec(x, inj, s, be)
-	}
-	return l.Forward(x, inj)
-}
 
 // forwardRange runs layers [lo, hi) on x under inj with scratch s and
 // backend be. kind labels the pass for telemetry ("full", "prefix" or
@@ -141,14 +117,14 @@ func (n *Network) forwardRange(lo, hi int, x *tensor.Tensor, inj noise.Injector,
 	o := n.Obs
 	if o == nil {
 		for _, l := range n.Layers[lo:hi] {
-			x = forwardLayer(l, x, inj, s, be)
+			x = l.Forward(x, inj, s, be)
 		}
 		return x
 	}
 	tr := o.Trace()
 	for _, l := range n.Layers[lo:hi] {
 		t0 := time.Now()
-		x = forwardLayer(l, x, inj, s, be)
+		x = l.Forward(x, inj, s, be)
 		d := time.Since(t0)
 		name := "caps.forward." + kind + "." + l.Name()
 		o.Timer(name).Observe(d)
@@ -184,43 +160,18 @@ func (n *Network) ForwardExec(x *tensor.Tensor, inj noise.Injector, be Backend) 
 	return n.forwardRange(0, len(n.Layers), x, inj, s, be, "full")
 }
 
-// ForwardTo runs only the prefix layers [0, k) — the clean-prefix half of
-// a split forward pass. ForwardTo(k, x, noise.None{}) followed by
-// ForwardFrom(k, ·, inj) is bit-identical to Forward(x, inj) whenever inj
-// is inactive on every site before layer k (see Network.InjectionFrontier).
-func (n *Network) ForwardTo(k int, x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	return n.ForwardToExec(k, x, inj, Float{})
-}
-
-// ForwardToExec is ForwardTo under an execution backend. For backends
-// whose frontier (see BackendFrontier) is at or beyond k, the prefix is
-// bit-identical to the backend's BaseID baseline and may be cached across
-// designs sharing that baseline.
+// ForwardToExec runs only the prefix layers [0, k) under an execution
+// backend — the clean-prefix half of a split forward pass.
+// ForwardToExec(k, x, noise.None{}, be) followed by ClassifyFromExec(k, ·,
+// inj, s, be) classifies exactly as a full pass under inj whenever inj is
+// inactive on every site before layer k (see InjectionFrontier). For
+// backends whose frontier (see BackendFrontier) is at or beyond k, the
+// prefix is bit-identical to the backend's BaseID baseline and may be
+// cached across designs sharing that baseline.
 func (n *Network) ForwardToExec(k int, x *tensor.Tensor, inj noise.Injector, be Backend) *tensor.Tensor {
 	s := scratchPool.Get().(*tensor.Scratch)
 	defer scratchPool.Put(s)
 	return n.forwardRange(0, k, x, inj, s, be, "prefix")
-}
-
-// ForwardFrom runs the suffix layers [k, len(Layers)) on x, which must be
-// the activation produced at boundary k (e.g. by ForwardTo). The sweep
-// engine replays cached clean prefixes through this entry point. x is
-// never mutated, so one cached activation can be replayed many times.
-func (n *Network) ForwardFrom(k int, x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	s := scratchPool.Get().(*tensor.Scratch)
-	defer scratchPool.Put(s)
-	return n.ForwardFromExec(k, x, inj, s, Float{})
-}
-
-// ForwardFromScratch is ForwardFrom with a caller-owned scratch arena,
-// for worker loops that evaluate many batches back to back.
-func (n *Network) ForwardFromScratch(k int, x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch) *tensor.Tensor {
-	return n.ForwardFromExec(k, x, inj, s, Float{})
-}
-
-// ForwardFromExec is ForwardFromScratch under an execution backend.
-func (n *Network) ForwardFromExec(k int, x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
-	return n.forwardRange(k, len(n.Layers), x, inj, s, be, forwardKind(k))
 }
 
 // InjectionFrontier returns the index of the first layer owning an
@@ -363,35 +314,15 @@ func (n *Network) OpsByLayer(batch int) map[string]energy.Counts {
 	return out
 }
 
-// ClassScores returns the per-class capsule norms [batch, classes] for a
-// batch of inputs.
-func (n *Network) ClassScores(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	out := n.Forward(x, inj)
-	if out.Rank() != 3 {
-		panic(fmt.Sprintf("caps: network %s output rank %d, want [batch, caps, dim]", n.NetName, out.Rank()))
-	}
-	return tensor.NormAxis(out, 2)
-}
-
-// Classify returns the argmax class for each sample in the batch.
-func (n *Network) Classify(x *tensor.Tensor, inj noise.Injector) []int {
-	s := scratchPool.Get().(*tensor.Scratch)
-	defer scratchPool.Put(s)
-	return n.ClassifyFrom(0, x, inj, s)
-}
-
-// ClassifyFrom classifies a batch by running only the suffix layers
-// [k, len(Layers)) on x (the activation at boundary k), with an optional
+// ClassifyFromExec returns the argmax class of each sample by running
+// only the suffix layers [k, len(Layers)) on x, the activation at
+// boundary k (x itself for k = 0), under backend be with an optional
 // scratch arena (nil allocates fresh). It is the sweep engine's
 // evaluation primitive: cached clean prefixes classify via
-// ClassifyFrom(frontier, prefix, inj, scratch).
-func (n *Network) ClassifyFrom(k int, x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch) []int {
-	return n.ClassifyFromExec(k, x, inj, s, Float{})
-}
-
-// ClassifyFromExec is ClassifyFrom under an execution backend.
+// ClassifyFromExec(frontier, prefix, inj, scratch, be). x is never
+// mutated, so one cached activation can be replayed many times.
 func (n *Network) ClassifyFromExec(k int, x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) []int {
-	out := n.ForwardFromExec(k, x, inj, s, be)
+	out := n.forwardRange(k, len(n.Layers), x, inj, s, be, forwardKind(k))
 	if out.Rank() != 3 {
 		panic(fmt.Sprintf("caps: network %s output rank %d, want [batch, caps, dim]", n.NetName, out.Rank()))
 	}
@@ -408,158 +339,4 @@ func (n *Network) ClassifyFromExec(k int, x *tensor.Tensor, inj noise.Injector, 
 		pred[b] = arg
 	}
 	return pred
-}
-
-// batchView slices samples [lo, hi) of x as a view (no copy).
-func batchView(x *tensor.Tensor, sample, lo, hi int) *tensor.Tensor {
-	shape := append([]int{hi - lo}, x.Shape[1:]...)
-	return tensor.NewFrom(x.Data[lo*sample:hi*sample], shape...)
-}
-
-// Accuracy evaluates classification accuracy over a dataset, processing
-// `batch` samples per forward pass. X is [n, c, h, w]; labels has length n.
-//
-// When the injector supports noise.Splitter, batches evaluate under
-// independent counter-seeded injector streams and may run concurrently;
-// the result is bit-identical for any worker count (batch i always runs
-// under inj.Split(i)). Stateful injectors without Split evaluate
-// sequentially with the shared injector, preserving its visit order.
-func Accuracy(net *Network, x *tensor.Tensor, labels []int, inj noise.Injector, batch int) float64 {
-	return AccuracyWorkers(net, x, labels, inj, batch, runtime.GOMAXPROCS(0))
-}
-
-// AccuracyWorkers is Accuracy with an explicit worker bound (values < 1
-// mean serial). The worker count affects scheduling only, never results.
-func AccuracyWorkers(net *Network, x *tensor.Tensor, labels []int, inj noise.Injector, batch, workers int) float64 {
-	acc, err := AccuracyCtx(context.Background(), net, x, labels, inj, batch, workers)
-	if err != nil {
-		// Unreachable: a background context never cancels.
-		panic(err)
-	}
-	return acc
-}
-
-// AccuracyCtx is AccuracyWorkers with cancellation: when ctx is
-// cancelled the evaluation stops dispatching at the next batch boundary,
-// drains in-flight batches, and returns ctx's error. The accuracy value
-// is only meaningful when the error is nil.
-func AccuracyCtx(ctx context.Context, net *Network, x *tensor.Tensor, labels []int, inj noise.Injector, batch, workers int) (float64, error) {
-	return AccuracyExec(ctx, net, x, labels, inj, Float{}, batch, workers)
-}
-
-// AccuracyExec is AccuracyCtx under an execution backend: the same
-// cancellable, deterministically-parallel evaluation loop measures the
-// noise model (Float + injector) and the bit-accurate hardware model (a
-// quantized backend) — the worker-count invariance carries over because
-// backends are stateless and batch i always evaluates under inj.Split(i).
-func AccuracyExec(ctx context.Context, net *Network, x *tensor.Tensor, labels []int, inj noise.Injector, be Backend, batch, workers int) (float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if be == nil {
-		be = Float{}
-	}
-	n := x.Shape[0]
-	if n == 0 {
-		return 0, nil
-	}
-	if batch <= 0 {
-		batch = 32
-	}
-	if inj == nil {
-		inj = noise.None{}
-	}
-	sample := x.Len() / n
-	nb := (n + batch - 1) / batch
-
-	splitter, splittable := inj.(noise.Splitter)
-	if !splittable {
-		// Stateful injector: one shared RNG stream across all batches.
-		s := scratchPool.Get().(*tensor.Scratch)
-		defer scratchPool.Put(s)
-		correct := 0
-		for lo := 0; lo < n; lo += batch {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			pred := net.ClassifyFromExec(0, batchView(x, sample, lo, hi), inj, s, be)
-			for i, p := range pred {
-				if p == labels[lo+i] {
-					correct++
-				}
-			}
-		}
-		return float64(correct) / float64(n), nil
-	}
-
-	if workers > nb {
-		workers = nb
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var cancelErr error
-	counts := make([]int, nb)
-	evalBatch := func(bi int, s *tensor.Scratch) {
-		lo := bi * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		pred := net.ClassifyFromExec(0, batchView(x, sample, lo, hi), splitter.Split(uint64(bi)), s, be)
-		c := 0
-		for i, p := range pred {
-			if p == labels[lo+i] {
-				c++
-			}
-		}
-		counts[bi] = c
-	}
-	if workers == 1 {
-		s := scratchPool.Get().(*tensor.Scratch)
-		for bi := 0; bi < nb; bi++ {
-			if cancelErr = ctx.Err(); cancelErr != nil {
-				break
-			}
-			evalBatch(bi, s)
-		}
-		scratchPool.Put(s)
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := scratchPool.Get().(*tensor.Scratch)
-				defer scratchPool.Put(s)
-				for bi := range jobs {
-					evalBatch(bi, s)
-				}
-			}()
-		}
-	dispatch:
-		for bi := 0; bi < nb; bi++ {
-			select {
-			case jobs <- bi:
-			case <-ctx.Done():
-				cancelErr = ctx.Err()
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	if cancelErr != nil {
-		return 0, cancelErr
-	}
-	correct := 0
-	for _, c := range counts {
-		correct += c
-	}
-	return float64(correct) / float64(n), nil
 }

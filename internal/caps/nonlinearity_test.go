@@ -105,7 +105,7 @@ func TestNonlinearityAffectsOnlyLayersPastFrontier(t *testing.T) {
 	be := WithNonlinearity(Float{}, nl)
 	frontier := n.NonlinearityFrontier(nl)
 
-	exactPrefix := n.ForwardTo(frontier, x, noise.None{})
+	exactPrefix := n.ForwardToExec(frontier, x, noise.None{}, Float{})
 	nlPrefix := n.ForwardToExec(frontier, x, noise.None{}, be)
 	for i := range exactPrefix.Data {
 		if exactPrefix.Data[i] != nlPrefix.Data[i] {

@@ -35,8 +35,8 @@ func TestForwardTimersSplitByPassKind(t *testing.T) {
 
 	net.Forward(x, noise.None{})
 	k := 2
-	prefix := net.ForwardTo(k, x, noise.None{})
-	net.ForwardFrom(k, prefix, noise.None{})
+	prefix := net.ForwardToExec(k, x, noise.None{}, Float{})
+	forwardFrom(net, k, prefix, noise.None{})
 
 	snap := o.Metrics().Snapshot()
 	// Full pass: every layer once. Prefix: layers [0, k). Suffix: [k, n).
@@ -52,8 +52,8 @@ func TestForwardTimersSplitByPassKind(t *testing.T) {
 			t.Errorf("%s timer for %s count = %d, want 1", kind, l.Name(), c)
 		}
 	}
-	// ForwardFrom(0, ...) is a full pass, not a suffix replay.
-	net.ForwardFrom(0, x, noise.None{})
+	// A replay from boundary 0 is a full pass, not a suffix replay.
+	forwardFrom(net, 0, x, noise.None{})
 	snap = o.Metrics().Snapshot()
 	if c := snap.Timers["caps.forward.full."+net.Layers[0].Name()].Count; c != 2 {
 		t.Errorf("boundary-0 replay not counted as full: count = %d, want 2", c)

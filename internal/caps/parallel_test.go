@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"redcane/internal/noise"
+	"redcane/internal/tensor"
 )
 
 // parallelTestNet builds a small network with a conv stem, a capsule cell
@@ -22,6 +23,12 @@ func parallelTestNet() *Network {
 	}
 }
 
+// forwardFrom runs the suffix layers [k, len(Layers)) the way
+// ClassifyFromExec does, returning the activations instead of classes.
+func forwardFrom(n *Network, k int, x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
+	return n.forwardRange(k, len(n.Layers), x, inj, nil, Float{}, forwardKind(k))
+}
+
 func TestForwardFromAdjoint(t *testing.T) {
 	// Splitting a clean forward pass at ANY boundary k must be
 	// bit-identical to the unsplit pass.
@@ -29,8 +36,8 @@ func TestForwardFromAdjoint(t *testing.T) {
 	x := rt(20, 5, 1, 8, 8)
 	want := net.Forward(x, noise.None{})
 	for k := 0; k <= len(net.Layers); k++ {
-		prefix := net.ForwardTo(k, x, noise.None{})
-		got := net.ForwardFrom(k, prefix, noise.None{})
+		prefix := net.ForwardToExec(k, x, noise.None{}, Float{})
+		got := forwardFrom(net, k, prefix, noise.None{})
 		if !got.SameShape(want) {
 			t.Fatalf("k=%d: shape %v vs %v", k, got.Shape, want.Shape)
 		}
@@ -55,8 +62,8 @@ func TestForwardFromMatchesFullForwardUnderInjection(t *testing.T) {
 			t.Fatalf("frontier for %s = %d", layer, k)
 		}
 		want := net.Forward(x, noise.NewGaussian(0.1, 0, filter, 99))
-		prefix := net.ForwardTo(k, x, noise.None{})
-		got := net.ForwardFrom(k, prefix, noise.NewGaussian(0.1, 0, filter, 99))
+		prefix := net.ForwardToExec(k, x, noise.None{}, Float{})
+		got := forwardFrom(net, k, prefix, noise.NewGaussian(0.1, 0, filter, 99))
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("layer %s: suffix replay diverged at %d", layer, i)
@@ -81,41 +88,6 @@ func TestInjectionFrontier(t *testing.T) {
 		if got := net.InjectionFrontier(c.filter); got != c.want {
 			t.Fatalf("case %d: frontier = %d, want %d", i, got, c.want)
 		}
-	}
-}
-
-func TestAccuracyParallelMatchesSerial(t *testing.T) {
-	// The satellite determinism requirement: with a seeded Gaussian
-	// injector, the batch-parallel accuracy path must equal the serial
-	// path bit-for-bit, because batch i always evaluates under stream i.
-	net := parallelTestNet()
-	n := 13 // deliberately not a batch multiple
-	x := rt(22, n, 1, 8, 8)
-	labels := net.Classify(x, noise.None{})
-	inj := noise.NewGaussian(0.3, 0.05, noise.ForGroup(noise.MACOutputs), 7)
-	serial := AccuracyWorkers(net, x, labels, inj, 4, 1)
-	for _, workers := range []int{2, 4, 8} {
-		if par := AccuracyWorkers(net, x, labels, inj, 4, workers); par != serial {
-			t.Fatalf("workers=%d: accuracy %.6f != serial %.6f", workers, par, serial)
-		}
-	}
-	// Noise at this magnitude must actually flip something relative to the
-	// self-labels, or the test proves nothing.
-	if serial == 1 {
-		t.Fatal("injector had no effect; determinism check is vacuous")
-	}
-}
-
-func TestAccuracyStatefulInjectorStaysSerial(t *testing.T) {
-	// A non-Splitter injector (the site recorder) must still see every
-	// site in forward order through the sequential fallback.
-	net := parallelTestNet()
-	x := rt(23, 6, 1, 8, 8)
-	labels := make([]int, 6)
-	rec := noise.NewSiteRecorder()
-	Accuracy(net, x, labels, rec, 2)
-	if len(rec.Order) != len(net.Sites()) {
-		t.Fatalf("recorder saw %d sites, want %d", len(rec.Order), len(net.Sites()))
 	}
 }
 

@@ -23,17 +23,10 @@ type ConvCaps3D struct {
 // Name implements Layer.
 func (l *ConvCaps3D) Name() string { return l.LayerName }
 
-// Forward implements Layer.
-func (l *ConvCaps3D) Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	return l.ForwardExec(x, inj, nil, Float{})
-}
-
-// ForwardExec runs the layer under an execution backend, with an optional
-// scratch arena for the vote and routing temporaries (nil allocates fresh).
-// The per-capsule vote convolutions run on the backend; routing-by-agreement
-// stays in float, matching the paper's split between MAC arrays and the
-// routing datapath.
-func (l *ConvCaps3D) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
+// Forward implements Layer. The per-capsule vote convolutions run on the
+// backend; routing-by-agreement stays in float, matching the paper's
+// split between MAC arrays and the routing datapath.
+func (l *ConvCaps3D) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	votes, oh, ow := l.votes(x, s, be)
 	votes = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, votes)
 	v := dynamicRouting(votes, l.LayerName, l.RoutingIterations, inj, s, nonlinearityOf(be))
@@ -114,15 +107,9 @@ type ClassCaps struct {
 func (l *ClassCaps) Name() string { return l.LayerName }
 
 // Forward implements Layer. The input may be [n, caps*dim, h, w] (capsule
-// types replicated over positions) or already [n, inCaps, inDim].
-func (l *ClassCaps) Forward(x *tensor.Tensor, inj noise.Injector) *tensor.Tensor {
-	return l.ForwardExec(x, inj, nil, Float{})
-}
-
-// ForwardExec runs the layer under an execution backend, with an optional
-// scratch arena for the vote and routing temporaries (nil allocates fresh).
-// The vote MACs run on the backend; routing-by-agreement stays in float.
-func (l *ClassCaps) ForwardExec(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
+// types replicated over positions) or already [n, inCaps, inDim]. The
+// vote MACs run on the backend; routing-by-agreement stays in float.
+func (l *ClassCaps) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	n := x.Shape[0]
 	u := flattenToCaps(x, l.InCaps, l.InDim)
 	votes := be.CapsVotes(l.LayerName, u, l.W, s)

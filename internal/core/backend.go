@@ -12,9 +12,9 @@ import (
 
 // This file closes the methodology's model-vs-reality loop: a Step 6
 // design (a []Choice) compiles into an execution backend that runs the
-// chosen multipliers bit-accurately, and EvalBackend measures it as a
-// one-evaluation fold of the same engine the noise sweeps use — workers,
-// prefix caching over the exact prefix before the first approximate site,
+// chosen multipliers bit-accurately, and EvalBackend measures it through
+// Evaluate, the same engine fold the noise sweeps use — workers, prefix
+// caching over the exact prefix before the first approximate site,
 // checkpoint/resume, and telemetry spans.
 
 // MACAssignments extracts a design's per-layer multiplier assignments:
@@ -42,33 +42,21 @@ func DesignBackend(choices []Choice, bits uint) (caps.Backend, error) {
 	return axe.NewQuantApprox(bits, MACAssignments(choices))
 }
 
-// EvalBackend measures test accuracy under the given execution backend.
-// It is a one-evaluation fold of the engine: batches run as independent
-// jobs over the worker pool (bit-identical for any worker count), the
-// exact prefix before the backend's first approximate layer is computed
-// once per window and replayed, cancellation stops at a window boundary,
-// and with a non-nil a.Checkpoint the per-window correct-counts persist
-// under the given section key so an interrupted evaluation resumes where
-// it left off. Distinct backends must use distinct section keys. With
-// probes on, the record compares against the backend's exact baseline
-// (caps.Baseliner).
+// EvalBackend measures test accuracy under the given execution backend:
+// a noiseless Evaluate under a backend.eval span. The exact prefix before
+// the backend's first approximate layer is computed once per window and
+// replayed, and with a non-nil a.Checkpoint the per-window correct-counts
+// persist under the given section key so an interrupted evaluation
+// resumes where it left off. Distinct backends must use distinct section
+// keys. With probes on, a named evaluation's record compares against the
+// backend's exact baseline (caps.Baseliner).
 func (a *Analyzer) EvalBackend(ctx context.Context, be caps.Backend, section string) (float64, error) {
-	if be == nil {
-		be = caps.Float{}
-	}
-	p, err := a.newPlan(section, be, nil, 0)
+	p, err := a.evalPlan(section, be, nil)
 	if err != nil {
 		return 0, err
-	}
-	if p.n == 0 {
-		return 0, nil
 	}
 	sp := a.Obs.StartSpan("backend.eval",
 		obs.F("backend", p.be.Name()), obs.F("frontier", p.frontier), obs.F("section", section))
 	defer sp.End()
-	correct, err := a.fold(ctx, p, a.runLocal)
-	if err != nil {
-		return 0, err
-	}
-	return float64(correct[0]) / float64(p.n), nil
+	return a.foldAccuracy(ctx, p)
 }

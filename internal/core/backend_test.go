@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"redcane/internal/approx"
@@ -11,6 +13,7 @@ import (
 	"redcane/internal/caps"
 	"redcane/internal/noise"
 	"redcane/internal/obs"
+	"redcane/internal/tensor"
 )
 
 func TestWithDefaultsNormalizesNMSweep(t *testing.T) {
@@ -91,23 +94,173 @@ func designBackend(t *testing.T, a *Analyzer) caps.Backend {
 	return be
 }
 
+// oracleAccuracy is the serial reference evaluator the engine must match:
+// one full forward pass per batch of the analyzer's evaluation split,
+// batch i under inj.Split(i) (nil = noiseless), on backend be (nil =
+// float) — no worker pool, windows or prefix replay.
+func oracleAccuracy(a *Analyzer, be caps.Backend, inj noise.Splitter) float64 {
+	if be == nil {
+		be = caps.Float{}
+	}
+	if inj == nil {
+		inj = noise.None{}
+	}
+	batch := a.Opts.WithDefaults().Batch
+	x, y := a.evalData()
+	n := x.Shape[0]
+	sample := x.Len() / n
+	correct := 0
+	for bi := 0; bi*batch < n; bi++ {
+		lo, hi := bi*batch, min((bi+1)*batch, n)
+		xb := tensor.NewFrom(x.Data[lo*sample:hi*sample], append([]int{hi - lo}, x.Shape[1:]...)...)
+		for i, p := range a.Net.ClassifyFromExec(0, xb, inj.Split(uint64(bi)), nil, be) {
+			if p == y[lo+i] {
+				correct++
+			}
+		}
+	}
+	return float64(correct) / float64(n)
+}
+
+// macNoise is a per-site injector putting NM on every MAC output.
+func macNoise(a *Analyzer, nm float64) *noise.PerSite {
+	params := map[noise.Site]noise.Params{}
+	for _, s := range a.ExtractGroups()[noise.MACOutputs] {
+		params[s] = noise.Params{NM: nm}
+	}
+	return noise.NewPerSite(params, 17)
+}
+
 func TestEvalBackendMatchesAccuracyExec(t *testing.T) {
-	// EvalBackend is the sweep-engine form of caps.AccuracyExec: same
-	// samples, same backend, same result — the windows, workers and
-	// prefix replay must not change the measurement.
+	// EvalBackend is a one-evaluation fold of the sweep engine: same
+	// samples, same backend, same result as the serial oracle — the
+	// windows, workers and prefix replay must not change the measurement.
 	a := derived(t)
 	be := axe.QuantExact{Bits: 8}
 	got, err := a.EvalBackend(context.Background(), be, "eval-vs-accuracy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := a.evalData()
-	want, err := caps.AccuracyExec(context.Background(), a.Net, x, y, noise.None{}, be, a.Opts.Batch, a.Opts.Workers)
-	if err != nil {
-		t.Fatal(err)
+	if want := oracleAccuracy(a, be, nil); got != want {
+		t.Fatalf("EvalBackend = %g, serial oracle = %g", got, want)
 	}
-	if got != want {
-		t.Fatalf("EvalBackend = %g, AccuracyExec = %g", got, want)
+}
+
+func TestEvaluateMatchesSerialOracle(t *testing.T) {
+	// A noisy evaluation runs batch i under inj.Split(i), so any worker
+	// count and any window layout reproduces the serial oracle exactly.
+	a := derived(t)
+	want := oracleAccuracy(a, nil, macNoise(a, 0.3))
+	if want == oracleAccuracy(a, nil, nil) {
+		t.Fatal("injector had no effect; the invariance check is vacuous")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, mb := range []int{256, -1} {
+			b := derived(t)
+			b.Opts.Workers, b.Opts.PrefixCacheMB = workers, mb
+			got, err := b.Evaluate(context.Background(), nil, macNoise(b, 0.3), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("workers=%d PrefixCacheMB=%d: accuracy %g != serial oracle %g", workers, mb, got, want)
+			}
+		}
+	}
+}
+
+// panicOnBatchOf wraps a layer so that its forward pass panics on a batch
+// of exactly n samples.
+type panicOnBatchOf struct {
+	caps.Layer
+	n int
+}
+
+func (l panicOnBatchOf) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be caps.Backend) *tensor.Tensor {
+	if x.Shape[0] == l.n {
+		panic("boom")
+	}
+	return l.Layer.Forward(x, inj, s, be)
+}
+
+func TestEvaluateSurfacesWorkerPanicWithBatch(t *testing.T) {
+	// Thirteen samples in batches of five: only the short last batch
+	// (index 2) reaches the panicking layer.
+	for _, workers := range []int{1, 4} {
+		for _, noisy := range []bool{false, true} {
+			a := derived(t)
+			a.Opts.Workers, a.Opts.MaxEval = workers, 13
+			if x, _ := a.evalData(); x.Shape[0] != 13 {
+				t.Fatalf("fixture has %d test samples, want at least 13", x.Shape[0])
+			}
+			net := *a.Net
+			net.Layers = append([]caps.Layer(nil), a.Net.Layers...)
+			last := len(net.Layers) - 1
+			net.Layers[last] = panicOnBatchOf{Layer: net.Layers[last], n: 3}
+			a.Net = &net
+			var err error
+			if noisy {
+				_, err = a.Evaluate(context.Background(), nil, macNoise(a, 0.1), "")
+			} else {
+				_, err = a.CleanAccuracyCtx(context.Background())
+			}
+			var jp *JobPanicError
+			if !errors.As(err, &jp) {
+				t.Fatalf("workers=%d noisy=%v: error = %v, want *JobPanicError", workers, noisy, err)
+			}
+			// The clean pass runs the whole network as the clean prefix;
+			// a noisy pass replays no prefix.
+			if jp.Section != "" || jp.Batch != 2 || jp.Point != -1 || jp.Prefix == noisy {
+				t.Fatalf("workers=%d noisy=%v: coordinates = %+v", workers, noisy, jp)
+			}
+			if msg := jp.Error(); !strings.Contains(msg, "unnamed evaluation: worker panic") || !strings.Contains(msg, "2") || !strings.Contains(msg, "boom") {
+				t.Fatalf("workers=%d noisy=%v: error message %q", workers, noisy, msg)
+			}
+		}
+	}
+}
+
+func TestEvaluateHonoursCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		a := derived(t)
+		a.Opts.Workers = workers
+		if _, err := a.Evaluate(ctx, nil, macNoise(a, 0.1), ""); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d noisy: error = %v, want context.Canceled", workers, err)
+		}
+		if _, err := a.CleanAccuracyCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d clean: error = %v, want context.Canceled", workers, err)
+		}
+	}
+}
+
+func TestEvaluateEmptyDataset(t *testing.T) {
+	a := derived(t)
+	ds := *a.Data
+	ds.TestX, ds.TestY = tensor.New(0, ds.Channels, ds.H, ds.W), nil
+	a.Data = &ds
+	if acc, err := a.Evaluate(context.Background(), nil, nil, ""); err != nil || acc != 0 {
+		t.Fatalf("empty accuracy = %g, err %v", acc, err)
+	}
+}
+
+func TestUnnamedEvaluationNeitherCheckpointsNorProbes(t *testing.T) {
+	// Only a named evaluation persists its windows and records probes.
+	for _, section := range []string{"", "named"} {
+		a := derived(t)
+		st, _ := resumeStore(t, t.TempDir(), a.Opts)
+		a.Checkpoint, a.Probes = st, NewProbeSet()
+		if _, err := a.Evaluate(context.Background(), nil, macNoise(a, 0.1), section); err != nil {
+			t.Fatal(err)
+		}
+		_, statErr := os.Stat(st.Path())
+		if written := statErr == nil; written != (section != "") {
+			t.Errorf("section %q: checkpoint written = %v", section, written)
+		}
+		if probed := len(a.Probes.Sweeps()) > 0; probed != (section != "") {
+			t.Errorf("section %q: probes recorded = %v", section, probed)
+		}
 	}
 }
 

@@ -35,8 +35,7 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 		{Kind: noise.KindStuckAt1},
 	} {
 		a := faultAnalyzer(t, spec)
-		x, y := a.evalData()
-		clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+		clean := oracleAccuracy(a, nil, nil)
 		filter := noise.ForGroup(noise.MACOutputs)
 		base := faultAnalyzer(t, spec)
 		base.Opts.Workers = 1
@@ -184,8 +183,7 @@ func TestExplicitGaussianSweepMatchesDefault(t *testing.T) {
 	// the gaussian kind explicitly runs the identical injector stream as
 	// the pre-refactor zero-value path.
 	a := derived(t)
-	x, y := a.evalData()
-	clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+	clean := oracleAccuracy(a, nil, nil)
 	want := mustSweep(t, derived(t), noise.ForGroup(noise.MACOutputs), clean, 7)
 	b := derived(t)
 	b.Opts.Noise = noise.Spec{Kind: noise.KindGaussian}
@@ -203,11 +201,7 @@ func TestApproxNonlinearitySweepDiffersButZeroPointMatchesItsClean(t *testing.T)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := a.evalData()
-	cleanApprox, err := caps.AccuracyExec(context.Background(), a.Net, x, y, noise.None{}, be, a.Opts.Batch, a.Opts.Workers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanApprox := oracleAccuracy(a, be, nil)
 	pts := mustSweep(t, a, noise.ForGroup(noise.MACOutputs), cleanApprox, 11)
 	if pts[len(pts)-1].Accuracy != cleanApprox {
 		t.Fatalf("zero point %+v != approx clean %g", pts[len(pts)-1], cleanApprox)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"redcane/internal/caps"
 	"redcane/internal/noise"
 	"redcane/internal/obs"
 )
@@ -20,8 +19,7 @@ func instrumented(t *testing.T, workers int) (obs.Snapshot, [][]SweepPoint) {
 	a.Net.Obs = o
 	defer func() { a.Net.Obs = nil }()
 	a.Opts.Workers = workers
-	x, y := a.evalData()
-	clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+	clean := oracleAccuracy(a, nil, nil)
 	pts := [][]SweepPoint{
 		mustSweep(t, a, noise.ForGroup(noise.Softmax), clean, 3),
 		mustSweep(t, a, noise.ForGroup(noise.LogitsUpdate), clean, 4),
@@ -65,8 +63,7 @@ func TestSweepResultsUnchangedByTelemetry(t *testing.T) {
 	// Instrumentation must never alter numerical results: an instrumented
 	// sweep is bit-identical to a bare one.
 	bare := derived(t)
-	x, y := bare.evalData()
-	clean := caps.Accuracy(bare.Net, x, y, noise.None{}, bare.Opts.Batch)
+	clean := oracleAccuracy(bare, nil, nil)
 	want := [][]SweepPoint{
 		mustSweep(t, bare, noise.ForGroup(noise.Softmax), clean, 3),
 		mustSweep(t, bare, noise.ForGroup(noise.LogitsUpdate), clean, 4),

@@ -284,7 +284,7 @@ type Analyzer struct {
 	// disables persistence entirely.
 	Checkpoint *checkpoint.Store
 	// Probes, when non-nil, turns on the numeric-health probes: every
-	// sweep and backend evaluation records per-layer activation
+	// sweep and named evaluation records per-layer activation
 	// statistics (range, moments, SQNR vs the clean reference,
 	// saturation/overflow) into the set. Probing is inert — reports and
 	// checkpoints are byte-identical with probes on or off — and the
@@ -359,12 +359,7 @@ func (a *Analyzer) CleanAccuracyCtx(ctx context.Context) (float64, error) {
 			return c.Accuracy, nil
 		}
 	}
-	x, y := a.evalData()
-	be, err := a.execBackend(caps.Float{})
-	if err != nil {
-		return 0, err
-	}
-	acc, err := caps.AccuracyExec(ctx, a.Net, x, y, noise.None{}, be, a.Opts.Batch, a.Opts.Workers)
+	acc, err := a.Evaluate(ctx, nil, nil, "")
 	if err != nil {
 		return 0, err
 	}
@@ -829,7 +824,6 @@ func (a *Analyzer) RunMethodology(ctx context.Context, profiles []ComponentProfi
 	a.Opts = a.Opts.WithDefaults()
 	run := a.Obs.StartSpan("methodology.run",
 		obs.F("network", a.Net.Name()), obs.F("dataset", a.Data.Name))
-	x, y := a.evalData()
 	sp := run.Child("methodology.clean_eval")
 	clean, err := a.CleanAccuracyCtx(ctx)
 	sp.End()
@@ -867,13 +861,8 @@ func (a *Analyzer) RunMethodology(ctx context.Context, profiles []ComponentProfi
 		saving = savedMul / totalMul
 	}
 
-	inj := NewPerSiteInjector(choices, a.Opts.Seed+777)
-	be, err := a.execBackend(caps.Float{})
-	if err != nil {
-		return nil, err
-	}
 	sp = run.Child("methodology.validate")
-	validated, err := caps.AccuracyExec(ctx, a.Net, x, y, inj, be, a.Opts.Batch, a.Opts.Workers)
+	validated, err := a.Evaluate(ctx, nil, NewPerSiteInjector(choices, a.Opts.Seed+777), "")
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"redcane/internal/approx"
-	"redcane/internal/caps"
 	"redcane/internal/datasets"
 	"redcane/internal/models"
 	"redcane/internal/noise"
@@ -107,8 +106,7 @@ func TestGroupwiseResilienceOrdering(t *testing.T) {
 	// The paper's headline: routing groups (softmax, logits update)
 	// tolerate more noise than MAC outputs.
 	a := sharedAnalyzer(t)
-	x, y := a.evalData()
-	clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+	clean := oracleAccuracy(a, nil, nil)
 	groups, err := a.AnalyzeGroups(context.Background(), clean)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +127,7 @@ func TestSweepMonotoneAtExtremes(t *testing.T) {
 	// Accuracy at the largest NM must not exceed clean accuracy by more
 	// than noise jitter, and NM=0 must equal clean accuracy exactly.
 	a := sharedAnalyzer(t)
-	x, y := a.evalData()
-	clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+	clean := oracleAccuracy(a, nil, nil)
 	pts := mustSweep(t, a, noise.ForGroup(noise.MACOutputs), clean, 1)
 	if pts[len(pts)-1].NM != 0 || pts[len(pts)-1].Accuracy != clean {
 		t.Fatalf("zero-NM point = %+v, clean %g", pts[len(pts)-1], clean)

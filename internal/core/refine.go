@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"redcane/internal/caps"
 	"redcane/internal/noise"
 )
 
@@ -46,7 +45,6 @@ func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []Comp
 		ctx = context.Background()
 	}
 	a.Opts = a.Opts.WithDefaults()
-	x, y := a.evalData()
 
 	// Profiles ordered by ascending NM = the upgrade ladder. With a
 	// multi-depth library the ladder is narrowed per upgrade to the
@@ -76,8 +74,7 @@ func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []Comp
 	cur := append([]Choice(nil), choices...)
 	res := RefineResult{}
 	for round := 0; round < maxRounds; round++ {
-		inj := NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round))
-		acc, err := caps.AccuracyCtx(ctx, a.Net, x, y, inj, a.Opts.Batch, a.Opts.Workers)
+		acc, err := a.Evaluate(ctx, nil, NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round)), "")
 		if err != nil {
 			res.Choices = cur
 			return res, err
@@ -113,8 +110,7 @@ func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []Comp
 		}
 		cur[worst].Component = next.Component
 		cur[worst].ComponentNM = next.NM
-		inj2 := NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round))
-		acc2, err := caps.AccuracyCtx(ctx, a.Net, x, y, inj2, a.Opts.Batch, a.Opts.Workers)
+		acc2, err := a.Evaluate(ctx, nil, NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round)), "")
 		if err != nil {
 			res.Choices = cur
 			return res, err

@@ -17,14 +17,15 @@ import (
 
 // This file implements the analysis engine: the hot path of the
 // methodology. Steps 2 and 4 re-run full test-set inference for every
-// (group or layer) × noise-magnitude point × trial, and the Step 6 check
-// re-runs it under a bit-accurate backend. All three run through one
-// plan → window → fold pipeline:
+// (group or layer) × noise-magnitude point × trial; the clean baseline,
+// the Step 6 validation, refinement and the bit-accurate check each
+// re-run it once, under an injector or a backend. All of them run
+// through one plan → window → fold pipeline:
 //
-//   - newPlan normalizes the options and lays out one fold: the execution
-//     backend, the clean-prefix frontier, the evaluations (one per noisy
-//     (point, trial) for a sweep, a single noiseless one for a backend
-//     evaluation), each job's injector and probe reference, and the
+//   - sweepPlan and evalPlan normalize the options and lay out one fold:
+//     the execution backend, the clean-prefix frontier, the evaluations
+//     (one per noisy (point, trial) for a sweep, a single one for
+//     Evaluate), each job's injector and probe reference, and the
 //     checkpoint section.
 //   - windowJobs evaluates every (evaluation, batch) job of one batch
 //     window into integer correct-counts.
@@ -82,10 +83,10 @@ type prefixCache struct {
 }
 
 // JobPanicError reports a panic recovered inside an engine worker,
-// carrying the fold's checkpoint section and the coordinates of the
-// failing job. Point indexes Options.NMSweep; Point and Trial are -1 for
-// jobs outside the noise grid: clean-prefix jobs (Prefix set) and backend
-// evaluations.
+// carrying the fold's checkpoint section ("" for an unnamed evaluation)
+// and the coordinates of the failing job. Point indexes Options.NMSweep;
+// Point and Trial are -1 for jobs outside the noise grid: clean-prefix
+// jobs (Prefix set) and single evaluations.
 type JobPanicError struct {
 	Section string
 	Point   int
@@ -101,14 +102,18 @@ type JobPanicError struct {
 
 // Error implements error.
 func (e *JobPanicError) Error() string {
+	scope := "unnamed evaluation"
+	if e.Section != "" {
+		scope = fmt.Sprintf("section %q", e.Section)
+	}
 	switch {
 	case e.Prefix:
-		return fmt.Sprintf("section %q: worker panic computing clean prefix of batch %d: %v", e.Section, e.Batch, e.Value)
+		return fmt.Sprintf("%s: worker panic computing clean prefix of batch %d: %v", scope, e.Batch, e.Value)
 	case e.Point >= 0:
-		return fmt.Sprintf("section %q: worker panic at point=%d (NM=%g) trial=%d batch=%d: %v",
-			e.Section, e.Point, e.NM, e.Trial, e.Batch, e.Value)
+		return fmt.Sprintf("%s: worker panic at point=%d (NM=%g) trial=%d batch=%d: %v",
+			scope, e.Point, e.NM, e.Trial, e.Batch, e.Value)
 	}
-	return fmt.Sprintf("section %q: worker panic at batch=%d: %v", e.Section, e.Batch, e.Value)
+	return fmt.Sprintf("%s: worker panic at batch=%d: %v", scope, e.Batch, e.Value)
 }
 
 // workerPanic is runJobs' internal panic capture; callers translate the
@@ -365,6 +370,38 @@ func (a *Analyzer) Sweep(ctx context.Context, filter noise.Filter, clean float64
 	return assemblePoints(a.Opts, correct, clean, p.n), nil
 }
 
+// Evaluate measures test accuracy under backend be (nil = float) and
+// injector inj (nil = noiseless) as a one-evaluation fold of the engine:
+// batches run as independent jobs over the worker pool, batch i under
+// inj.Split(i), so the result is bit-identical for any worker count or
+// window layout. A noiseless evaluation computes the exact prefix before
+// be's first approximate layer once per window and replays it; a noisy
+// one replays no prefix, since inj may act at any site. Cancellation
+// stops at a window boundary with ctx's error, and a worker panic
+// surfaces as a *JobPanicError naming the batch. A named section
+// checkpoints the per-window counts — distinct evaluations must use
+// distinct sections — and, with probes on, records them; an unnamed
+// evaluation ("") does neither.
+func (a *Analyzer) Evaluate(ctx context.Context, be caps.Backend, inj noise.Splitter, section string) (float64, error) {
+	p, err := a.evalPlan(section, be, inj)
+	if err != nil {
+		return 0, err
+	}
+	return a.foldAccuracy(ctx, p)
+}
+
+// foldAccuracy folds a single-evaluation plan into an accuracy.
+func (a *Analyzer) foldAccuracy(ctx context.Context, p *plan) (float64, error) {
+	if p.n == 0 {
+		return 0, nil
+	}
+	correct, err := a.fold(ctx, p, a.runLocal)
+	if err != nil {
+		return 0, err
+	}
+	return float64(correct[0]) / float64(p.n), nil
+}
+
 // sweepState is the checkpointed progress of one fold: the per-evaluation
 // correct-counts summed over the first BatchesDone batches.
 type sweepState struct {
@@ -374,13 +411,14 @@ type sweepState struct {
 }
 
 // plan lays out one fold. A sweep plan has a site filter and one
-// evaluation per noisy (point, trial); a backend evaluation has no filter
-// and a single noiseless evaluation.
+// evaluation per noisy (point, trial); an evaluation plan has no filter
+// and a single evaluation under an optional splittable injector.
 type plan struct {
-	key      string       // checkpoint section
+	key      string       // checkpoint section; "" for an unnamed evaluation
 	be       caps.Backend // execution backend
 	ref      caps.Backend // probe reference backend; nil skips the reference pass
 	filter   noise.Filter
+	inj      noise.Splitter // an evaluation's injector; nil is noiseless
 	seedBase uint64
 	frontier int
 	evals    []evalIdx
@@ -388,12 +426,15 @@ type plan struct {
 	x        *tensor.Tensor
 	y        []int
 	n, nb    int
+	// persist and probe turn on checkpointing and probe recording; both
+	// are off for an unnamed evaluation.
+	persist, probe bool
 }
 
-// newPlan normalizes the options and lays out the fold of one sweep (a
-// non-nil filter, noise streams namespaced by seedBase) or of one
-// noiseless evaluation of be (a nil filter), checkpointed under key.
-func (a *Analyzer) newPlan(key string, be caps.Backend, filter noise.Filter, seedBase uint64) (*plan, error) {
+// newPlan normalizes the options and lays out the part of a fold under
+// key that every plan shares: the execution backend and the evaluation
+// split.
+func (a *Analyzer) newPlan(key string, be caps.Backend) (*plan, error) {
 	a.Opts = a.Opts.WithDefaults()
 	o := a.Opts
 	if _, err := o.Noise.Normalize(); err != nil {
@@ -406,37 +447,55 @@ func (a *Analyzer) newPlan(key string, be caps.Backend, filter noise.Filter, see
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{key: key, be: be, filter: filter, seedBase: seedBase}
+	p := &plan{key: key, be: be, persist: a.Checkpoint != nil && key != "", probe: a.Probes != nil && key != ""}
 	p.x, p.y = a.evalData()
 	p.n = p.x.Shape[0]
 	p.nb = (p.n + o.Batch - 1) / o.Batch
-	if filter != nil {
-		// A non-exact nonlinearity perturbs every routing layer, so the
-		// clean prefix must also stop before the first affected one.
-		p.frontier = min(a.Net.InjectionFrontier(filter), a.Net.BackendFrontier(be))
-		p.evals, p.nms, p.ref = sweepEvals(o), o.NMSweep, be
-		return p, nil
-	}
-	p.frontier = a.Net.BackendFrontier(be)
-	p.evals, p.nms = []evalIdx{{}}, []float64{0}
-	if a.Probes != nil {
-		// Probes measure SQNR against the backend's exact baseline (a
-		// backend that is its own baseline records ranges, moments and
-		// overflow only) and bypass the prefix replay, so every layer's
-		// MAC outputs cross the probe seam, not just the suffix after the
-		// first approximate site.
-		p.frontier = 0
-		if bl, ok := be.(caps.Baseliner); ok && bl.ExactBaseline().Name() != be.Name() {
-			p.ref = bl.ExactBaseline()
-		}
-	}
 	return p, nil
 }
 
 // sweepPlan lays out the float sweep of filter under seedBase,
 // checkpointed under the section "sweep-<seedBase>".
 func (a *Analyzer) sweepPlan(filter noise.Filter, seedBase uint64) (*plan, error) {
-	return a.newPlan(fmt.Sprintf("sweep-%d", seedBase), caps.Float{}, filter, seedBase)
+	p, err := a.newPlan(fmt.Sprintf("sweep-%d", seedBase), caps.Float{})
+	if err != nil {
+		return nil, err
+	}
+	p.filter, p.seedBase = filter, seedBase
+	// A non-exact nonlinearity perturbs every routing layer, so the clean
+	// prefix must also stop before the first affected one.
+	p.frontier = min(a.Net.InjectionFrontier(filter), a.Net.BackendFrontier(p.be))
+	p.evals, p.nms, p.ref = sweepEvals(a.Opts), a.Opts.NMSweep, p.be
+	return p, nil
+}
+
+// evalPlan lays out the single evaluation of be under inj.
+func (a *Analyzer) evalPlan(key string, be caps.Backend, inj noise.Splitter) (*plan, error) {
+	if be == nil {
+		be = caps.Float{}
+	}
+	p, err := a.newPlan(key, be)
+	if err != nil {
+		return nil, err
+	}
+	p.inj = inj
+	p.evals, p.nms = []evalIdx{{}}, []float64{0}
+	p.frontier = a.Net.BackendFrontier(p.be)
+	if inj != nil {
+		p.frontier = 0
+	}
+	if p.probe {
+		// Probes measure SQNR against the backend's exact baseline (a
+		// backend that is its own baseline records ranges, moments and
+		// overflow only) and bypass the prefix replay, so every layer's
+		// MAC outputs cross the probe seam, not just the suffix after the
+		// first approximate site.
+		p.frontier = 0
+		if bl, ok := p.be.(caps.Baseliner); ok && bl.ExactBaseline().Name() != p.be.Name() {
+			p.ref = bl.ExactBaseline()
+		}
+	}
+	return p, nil
 }
 
 // evalIdx names one (point, trial) evaluation of a sweep; NM = 0 is the
@@ -481,9 +540,12 @@ func (a *Analyzer) windowJobs(ctx context.Context, p *plan, b0, b1 int, probing 
 	err = runJobs(ctx, a.Obs, o.Workers, len(jobCorrect), func(j int, s *tensor.Scratch) {
 		e, bi := p.evals[j/nbw], b0+j%nbw
 		var inj noise.Injector = noise.None{}
-		if p.filter != nil {
+		switch {
+		case p.filter != nil:
 			seed := noise.StreamSeed(o.Seed, p.seedBase, uint64(e.pi), uint64(e.trial), uint64(bi))
 			inj = o.Noise.Injector(o.NMSweep[e.pi], o.NA, p.filter, seed)
+		case p.inj != nil:
+			inj = p.inj.Split(uint64(bi))
 		}
 		be := p.be
 		var rec *caps.ProbeRecorder
@@ -556,7 +618,7 @@ func (a *Analyzer) runLocal(ctx context.Context, p *plan, start int, emit func(W
 		}
 		b1 := min(b0+window, p.nb)
 		tw0 := time.Now()
-		jobCorrect, jobProbes, err := a.windowJobs(ctx, p, b0, b1, a.Probes != nil)
+		jobCorrect, jobProbes, err := a.windowJobs(ctx, p, b0, b1, p.probe)
 		if err != nil {
 			return err
 		}
@@ -585,7 +647,7 @@ func (a *Analyzer) runLocal(ctx context.Context, p *plan, start int, emit func(W
 // meet — is ignored with a warning, and the fold starts over.
 func (a *Analyzer) resume(p *plan, correct []int) int {
 	var st sweepState
-	if a.Checkpoint == nil || !a.Checkpoint.Get(p.key, &st) {
+	if !p.persist || !a.Checkpoint.Get(p.key, &st) {
 		return 0
 	}
 	ok := len(st.Correct) == len(p.evals) && st.BatchesDone >= 0 && st.BatchesDone <= p.nb &&
@@ -605,7 +667,7 @@ func (a *Analyzer) resume(p *plan, correct []int) int {
 	}
 	a.Obs.Info("resumed from checkpoint", obs.F("section", p.key),
 		obs.F("batches", fmt.Sprintf("%d/%d", st.BatchesDone, p.nb)), obs.F("skipped_jobs", skipped))
-	if a.Probes != nil && st.BatchesDone > 0 {
+	if p.probe && st.BatchesDone > 0 {
 		// Probe stats are never checkpointed, so they can only cover the
 		// windows this process actually runs.
 		a.Obs.Warn("probe stats cover only the un-resumed windows",
@@ -634,7 +696,7 @@ func (a *Analyzer) fold(ctx context.Context, p *plan, run windowSource) ([]int, 
 	// job's stats are buffered and merged at the end in one order over the
 	// whole fold, which keeps them independent of the window layout.
 	var stats [][]caps.ProbeLayerStats
-	if a.Probes != nil {
+	if p.probe {
 		stats = make([][]caps.ProbeLayerStats, len(p.evals)*p.nb)
 	}
 	t0 := time.Now()
@@ -652,7 +714,7 @@ func (a *Analyzer) fold(ctx context.Context, p *plan, run windowSource) ([]int, 
 				correct[i] += c
 			}
 			next = r.B1
-			if a.Checkpoint != nil {
+			if p.persist {
 				a.checkpointPut(p.key, sweepState{Correct: correct, BatchesDone: next, Done: next == p.nb})
 			}
 			if a.afterWindow != nil {
@@ -688,7 +750,7 @@ func (a *Analyzer) fold(ctx context.Context, p *plan, run windowSource) ([]int, 
 		a.Obs.Debug("sweep complete", obs.F("section", p.key), obs.F("frontier", p.frontier),
 			obs.F("batches", p.nb-start), obs.F("dur", dur.Round(time.Millisecond)))
 	}
-	if a.Probes != nil {
+	if p.probe {
 		a.recordProbes(p, stats)
 	}
 	return correct, nil

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"redcane/internal/caps"
 	"redcane/internal/noise"
 )
 
@@ -50,8 +49,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	// bit-identical for any worker count, because every (point, trial,
 	// batch) job draws from its own counter-seeded RNG stream.
 	a := derived(t)
-	x, y := a.evalData()
-	clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+	clean := oracleAccuracy(a, nil, nil)
 	for _, filter := range []noise.Filter{
 		noise.ForGroup(noise.MACOutputs), // frontier 0: no prefix to cache
 		noise.ForGroup(noise.Softmax),    // late frontier: cached prefixes
@@ -72,8 +70,8 @@ func TestSweepWindowedMatchesCached(t *testing.T) {
 	// single-batch windows with no whole-set cache; results must still be
 	// bit-identical to the fully cached run.
 	a := derived(t)
-	x, y := a.evalData()
-	clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+	x, _ := a.evalData()
+	clean := oracleAccuracy(a, nil, nil)
 	filter := noise.ForGroup(noise.Softmax)
 
 	cached := derived(t)
@@ -104,8 +102,7 @@ func TestSweepPrefixCacheReuse(t *testing.T) {
 	// both front at the routing layer) must reuse the retained prefixes
 	// and still reproduce a cold-cache sweep bit-for-bit.
 	a := derived(t)
-	x, y := a.evalData()
-	clean := caps.Accuracy(a.Net, x, y, noise.None{}, a.Opts.Batch)
+	clean := oracleAccuracy(a, nil, nil)
 
 	softmax := mustSweep(t, a, noise.ForGroup(noise.Softmax), clean, 5)
 	if a.pcache == nil || a.pcache.frontier == 0 {

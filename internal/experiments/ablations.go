@@ -31,7 +31,7 @@ type RoutingIterationsResult struct {
 // AblationRoutingIterations measures routing-noise resilience at 1, 2 and
 // 3 routing iterations on the trained DeepCaps.
 func (r *Runner) AblationRoutingIterations() (*RoutingIterationsResult, error) {
-	t, err := r.Trained(Benchmarks[0])
+	t, err := r.Trained(CaseStudyBenchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -58,10 +58,6 @@ func (r *Runner) AblationRoutingIterations() (*RoutingIterationsResult, error) {
 	}()
 
 	const nm = 0.1
-	// Double the usual evaluation cap: this ablation compares three drop
-	// estimates against each other, so it needs tighter error bars than a
-	// single sweep point (quick mode's 60 samples quantize at 1.7 pp).
-	x, y := capEval(t, 2*r.evalCap())
 	// Inject into the routing layers' vote tensors (MAC outputs): if the
 	// paper's adaptation mechanism holds, extra routing iterations give
 	// the coupling coefficients more chances to steer around the noise.
@@ -77,7 +73,16 @@ func (r *Runner) AblationRoutingIterations() (*RoutingIterationsResult, error) {
 		for _, p := range routing {
 			*p = iters
 		}
-		clean := caps.Accuracy(t.Net, x, y, noise.None{}, 32)
+		// A fresh analyzer per iteration count, since a retained clean
+		// prefix would replay the previous count's routing. Double the
+		// usual evaluation cap: this ablation compares three drop
+		// estimates against each other, so it needs tighter error bars
+		// than a single sweep point (quick mode's 60 samples quantize at
+		// 1.7 pp).
+		a, clean, err := r.ablation(t.Benchmark, 2*r.evalCap())
+		if err != nil {
+			return nil, err
+		}
 		noisy := 0.0
 		// This ablation compares three drop estimates against each other,
 		// so it needs a steadier average than the sweep default (quick
@@ -87,8 +92,11 @@ func (r *Runner) AblationRoutingIterations() (*RoutingIterationsResult, error) {
 			trials = 3
 		}
 		for tr := 0; tr < trials; tr++ {
-			inj := noise.NewGaussian(nm, 0, filter, r.Cfg.Seed+31+uint64(tr))
-			noisy += caps.Accuracy(t.Net, x, y, inj, 32)
+			acc, err := a.Evaluate(r.ctx(), nil, noise.NewGaussian(nm, 0, filter, r.Cfg.Seed+31+uint64(tr)), "")
+			if err != nil {
+				return nil, err
+			}
+			noisy += acc
 		}
 		noisy /= float64(trials)
 		out.DropByIters[iters] = noisy - clean
@@ -131,17 +139,20 @@ type NoiseVsLUTResult struct {
 // AblationNoiseVsLUT runs the comparison on the trained CapsNet (small
 // enough for LUT execution of every conv).
 func (r *Runner) AblationNoiseVsLUT() (*NoiseVsLUTResult, error) {
-	t, err := r.Trained(Benchmarks[4]) // capsnet / mnist-like
+	t, err := r.Trained(DefaultBenchmark)
 	if err != nil {
 		return nil, err
 	}
-	x, y := capEval(t, min(r.evalCap(), 100))
-	clean := caps.Accuracy(t.Net, x, y, noise.None{}, 32)
+	n := min(r.evalCap(), 100)
+	a, clean, err := r.ablation(t.Benchmark, n)
+	if err != nil {
+		return nil, err
+	}
 
 	// Characterize against this network's own operand distribution, as
 	// the methodology prescribes (Sec. III-B: NM is application
 	// dependent).
-	poolA, poolB := operandPools(t, x)
+	poolA, poolB := operandPools(t, n)
 	dist := approx.EmpiricalDist(poolA, poolB)
 
 	convLayers := []string{"Conv2D", "Primary"}
@@ -157,13 +168,12 @@ func (r *Runner) AblationNoiseVsLUT() (*NoiseVsLUTResult, error) {
 			mults[l] = c.Model
 		}
 		// True execution: the shared engine runs the convs through the
-		// component's LUT — cancellable and worker-parallel like every
-		// other evaluation.
+		// component's LUT.
 		be, err := axe.NewQuantApprox(fixed.DefaultBits, mults)
 		if err != nil {
 			return nil, err
 		}
-		lutAcc, err := caps.AccuracyExec(r.ctx(), t.Net, x, y, noise.None{}, be, 32, r.Cfg.Workers)
+		lutAcc, err := a.Evaluate(r.ctx(), be, nil, "")
 		if err != nil {
 			return nil, err
 		}
@@ -182,8 +192,7 @@ func (r *Runner) AblationNoiseVsLUT() (*NoiseVsLUTResult, error) {
 			}
 			params[noise.Site{Layer: l, Group: noise.MACOutputs}] = noise.Params{NM: prof.NM, NA: prof.NA}
 		}
-		inj := noise.NewPerSite(params, r.Cfg.Seed+42)
-		modelAcc, err := caps.AccuracyExec(r.ctx(), t.Net, x, y, inj, caps.Float{}, 32, r.Cfg.Workers)
+		modelAcc, err := a.Evaluate(r.ctx(), nil, noise.NewPerSite(params, r.Cfg.Seed+42), "")
 		if err != nil {
 			return nil, err
 		}
@@ -223,17 +232,18 @@ type NoiseAverageResult struct {
 // AblationNoiseAverage sweeps NA at fixed NM on the MAC outputs of the
 // trained DeepCaps.
 func (r *Runner) AblationNoiseAverage() (*NoiseAverageResult, error) {
-	t, err := r.Trained(Benchmarks[0])
+	a, clean, err := r.ablation(CaseStudyBenchmark, 0)
 	if err != nil {
 		return nil, err
 	}
-	x, y := capEval(t, r.evalCap())
-	clean := caps.Accuracy(t.Net, x, y, noise.None{}, 32)
 	const nm = 0.005
-	out := &NoiseAverageResult{Benchmark: t.Benchmark, NM: nm}
+	out := &NoiseAverageResult{Benchmark: CaseStudyBenchmark, NM: nm}
 	for _, na := range []float64{-0.05, -0.02, -0.005, 0, 0.005, 0.02, 0.05} {
 		inj := noise.NewGaussian(nm, na, noise.ForGroup(noise.MACOutputs), r.Cfg.Seed+51)
-		acc := caps.Accuracy(t.Net, x, y, inj, 32)
+		acc, err := a.Evaluate(r.ctx(), nil, inj, "")
+		if err != nil {
+			return nil, err
+		}
 		out.NAs = append(out.NAs, na)
 		out.Drops = append(out.Drops, acc-clean)
 	}
@@ -251,9 +261,10 @@ func (a *NoiseAverageResult) Render() string {
 }
 
 // operandPools captures the quantized conv-input activations and weights
-// of a trained network on the given inputs (the "real" operand
+// of a trained network on its first n test samples (the "real" operand
 // distribution of Sec. III-B).
-func operandPools(t *Trained, x *tensor.Tensor) (poolA, poolB []uint8) {
+func operandPools(t *Trained, n int) (poolA, poolB []uint8) {
+	x := capEval(t, n)
 	capAct := newCapture(noise.Activations, 20000)
 	t.Net.Forward(x, capAct)
 	vals := make([]float64, 0, 20000)
@@ -294,12 +305,11 @@ func operandPools(t *Trained, x *tensor.Tensor) (poolA, poolB []uint8) {
 }
 
 // capEval slices the first n test samples of a trained benchmark.
-func capEval(t *Trained, n int) (*tensor.Tensor, []int) {
+func capEval(t *Trained, n int) *tensor.Tensor {
 	total := t.Data.TestX.Shape[0]
 	if n > total || n <= 0 {
 		n = total
 	}
 	sample := t.Data.TestX.Len() / total
-	x := tensor.NewFrom(t.Data.TestX.Data[:n*sample], append([]int{n}, t.Data.TestX.Shape[1:]...)...)
-	return x, t.Data.TestY[:n]
+	return tensor.NewFrom(t.Data.TestX.Data[:n*sample], append([]int{n}, t.Data.TestX.Shape[1:]...)...)
 }

@@ -104,7 +104,7 @@ func (r *Runner) Fig11() (*Fig11Result, error) {
 	if r.fig11Memo != nil {
 		return r.fig11Memo, nil
 	}
-	t, err := r.Trained(Benchmarks[0]) // deepcaps / cifar-like
+	t, err := r.Trained(CaseStudyBenchmark)
 	if err != nil {
 		return nil, err
 	}

@@ -272,7 +272,7 @@ func TestFig12AllBenchmarksShareTheHeadline(t *testing.T) {
 }
 
 func TestDesignProducesViableApproxCapsNet(t *testing.T) {
-	res, err := runner(t).Design(Benchmarks[4]) // capsnet/mnist: fastest
+	res, err := runner(t).Design(DefaultBenchmark) // capsnet/mnist: fastest
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestAblationNoiseAverageBiasHurts(t *testing.T) {
 }
 
 func TestValidateComparesModelAgainstBackend(t *testing.T) {
-	res, err := runner(t).Validate(Benchmarks[4], "quant-approx", 8)
+	res, err := runner(t).Validate(DefaultBenchmark, "quant-approx", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,25 +403,25 @@ func TestValidateComparesModelAgainstBackend(t *testing.T) {
 		t.Fatalf("csv malformed:\n%s", b.String())
 	}
 	// A backend typo fails before any training or analysis.
-	if _, err := runner(t).Validate(Benchmarks[4], "bogus", 8); err == nil {
+	if _, err := runner(t).Validate(DefaultBenchmark, "bogus", 8); err == nil {
 		t.Fatal("expected unknown-backend error")
 	}
 	// Approximate multipliers cannot run above the LUT wordlength.
-	if _, err := runner(t).Validate(Benchmarks[4], "quant-approx", 12); err == nil {
+	if _, err := runner(t).Validate(DefaultBenchmark, "quant-approx", 12); err == nil {
 		t.Fatal("expected wide-wordlength error")
 	}
 }
 
 func TestRunnerCachesWeightsOnDisk(t *testing.T) {
 	r := runner(t)
-	tr1, err := r.Trained(Benchmarks[4])
+	tr1, err := r.Trained(DefaultBenchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A fresh runner sharing the cache dir must load, not retrain:
 	// verify by checking identical weights.
 	r2 := NewRunner(Config{Dir: r.Cfg.Dir, Quick: true, Seed: 42})
-	tr2, err := r2.Trained(Benchmarks[4])
+	tr2, err := r2.Trained(DefaultBenchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestAccelSystemSavingsSmallerThanCompute(t *testing.T) {
 }
 
 func TestAblationSelectionStrategyDominance(t *testing.T) {
-	res, err := runner(t).AblationSelectionStrategy(Benchmarks[4])
+	res, err := runner(t).AblationSelectionStrategy(DefaultBenchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestAblationSelectionStrategyDominance(t *testing.T) {
 }
 
 func TestStabilityAcrossSeeds(t *testing.T) {
-	res, err := runner(t).Stability(Benchmarks[4], 4)
+	res, err := runner(t).Stability(DefaultBenchmark, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,12 +516,12 @@ func TestStabilityHonoursNonlinearityVariants(t *testing.T) {
 	// Stability builds its analyzers like every other entry point, so the
 	// configured softmax/squash variants change its measurements.
 	r := runner(t)
-	exact, err := r.Stability(Benchmarks[4], 2)
+	exact, err := r.Stability(DefaultBenchmark, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx := NewRunner(Config{Dir: r.Cfg.Dir, Quick: true, Seed: 42, Softmax: "base2", Squash: "sqnorm"})
-	varied, err := approx.Stability(Benchmarks[4], 2)
+	varied, err := approx.Stability(DefaultBenchmark, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestStabilityHonoursNonlinearityVariants(t *testing.T) {
 }
 
 func TestAblationRangeEstimator(t *testing.T) {
-	res, err := runner(t).AblationRangeEstimator(Benchmarks[4])
+	res, err := runner(t).AblationRangeEstimator(DefaultBenchmark)
 	if err != nil {
 		t.Fatal(err)
 	}

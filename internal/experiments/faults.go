@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"redcane/internal/caps"
 	"redcane/internal/noise"
 )
 
@@ -28,18 +27,23 @@ type FaultTypesResult struct {
 
 // AblationFaultTypes runs the comparison on the trained DeepCaps.
 func (r *Runner) AblationFaultTypes() (*FaultTypesResult, error) {
-	t, err := r.Trained(Benchmarks[0])
+	a, clean, err := r.ablation(CaseStudyBenchmark, 0)
 	if err != nil {
 		return nil, err
 	}
-	x, y := capEval(t, r.evalCap())
-	clean := caps.Accuracy(t.Net, x, y, noise.None{}, 32)
-	out := &FaultTypesResult{Benchmark: t.Benchmark, Clean: clean}
+	out := &FaultTypesResult{Benchmark: CaseStudyBenchmark, Clean: clean}
 	filter := noise.ForGroup(noise.MACOutputs)
 
-	measure := func(kind string, severity float64, inj noise.Injector) {
-		acc := caps.Accuracy(t.Net, x, y, inj, 32)
-		out.Rows = append(out.Rows, FaultRow{Kind: kind, Severity: severity, Drop: acc - clean})
+	// measure records one row; after the first failure it does nothing,
+	// and the error is returned below.
+	measure := func(kind string, severity float64, inj noise.Splitter) {
+		if err != nil {
+			return
+		}
+		var acc float64
+		if acc, err = a.Evaluate(r.ctx(), nil, inj, ""); err == nil {
+			out.Rows = append(out.Rows, FaultRow{Kind: kind, Severity: severity, Drop: acc - clean})
+		}
 	}
 	for _, nm := range []float64{0.005, 0.02, 0.05} {
 		measure("gaussian-nm", nm, noise.NewGaussian(nm, 0, filter, r.Cfg.Seed+61))
@@ -50,6 +54,9 @@ func (r *Runner) AblationFaultTypes() (*FaultTypesResult, error) {
 	for _, frac := range []float64{0.0001, 0.001, 0.01} {
 		measure("stuck-at-0", frac, noise.NewStuckAt(frac, false, filter, r.Cfg.Seed+63))
 		measure("stuck-at-1", frac, noise.NewStuckAt(frac, true, filter, r.Cfg.Seed+64))
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -62,7 +62,7 @@ type Table3Group struct {
 
 // Table3 extracts the operation groups from the trained DeepCaps.
 func (r *Runner) Table3() (*Table3Result, error) {
-	t, err := r.Trained(Benchmarks[0])
+	t, err := r.Trained(CaseStudyBenchmark)
 	if err != nil {
 		return nil, err
 	}
@@ -137,13 +137,16 @@ func (r *Runner) GroupSweep(b Benchmark, ov Overrides) (*GroupSweepResult, error
 // Fig9 is the group-wise resilience of DeepCaps on the CIFAR-like
 // dataset.
 func (r *Runner) Fig9() (*GroupSweepResult, error) {
-	return r.GroupSweep(Benchmarks[0], Overrides{})
+	return r.GroupSweep(CaseStudyBenchmark, Overrides{})
 }
 
-// Fig12 is the group-wise resilience of the other four benchmarks.
+// Fig12 is the group-wise resilience of every benchmark except Fig. 9's.
 func (r *Runner) Fig12() ([]*GroupSweepResult, error) {
 	var out []*GroupSweepResult
-	for _, b := range Benchmarks[1:] {
+	for _, b := range Benchmarks {
+		if b == CaseStudyBenchmark {
+			continue
+		}
 		res, err := r.GroupSweep(b, Overrides{})
 		if err != nil {
 			return nil, err
@@ -211,7 +214,7 @@ type Fig10Result struct {
 
 // Fig10 runs methodology Steps 4–5 on the Fig. 9 outcome.
 func (r *Runner) Fig10() (*Fig10Result, error) {
-	return r.LayerSweep(Benchmarks[0], Overrides{})
+	return r.LayerSweep(CaseStudyBenchmark, Overrides{})
 }
 
 // LayerSweep runs methodology Steps 1–5 (group-wise plus the layer-wise

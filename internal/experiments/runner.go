@@ -21,7 +21,6 @@ import (
 	"redcane/internal/core"
 	"redcane/internal/datasets"
 	"redcane/internal/models"
-	"redcane/internal/noise"
 	"redcane/internal/obs"
 	"redcane/internal/params"
 	"redcane/internal/tensor"
@@ -111,10 +110,16 @@ var Benchmarks = []Benchmark{
 }
 
 // DefaultBenchmark is the benchmark used when a job or CLI command names
-// none: CapsNet on the MNIST-like dataset, the paper's primary case
-// study. Resolved by key at init, not by slice index, so reordering or
-// extending Benchmarks can never silently change the default.
+// none: CapsNet on the MNIST-like dataset, the fastest of the paper's
+// benchmarks. Resolved by key at init, not by slice index, so reordering
+// or extending Benchmarks can never silently change the default.
 var DefaultBenchmark = mustBenchmark("capsnet-mnist-like")
+
+// CaseStudyBenchmark is the paper's detailed case study: DeepCaps on the
+// CIFAR-like dataset, the network behind Table III, Figs. 9–11 and the
+// ablations of DeepCaps' routing layers. Resolved by key, like
+// DefaultBenchmark.
+var CaseStudyBenchmark = mustBenchmark("deepcaps-cifar-like")
 
 func mustBenchmark(key string) Benchmark {
 	b, err := FindBenchmark(key)
@@ -294,6 +299,19 @@ func (r *Runner) analyzer(b Benchmark, base core.Options, ov Overrides) (*core.A
 	}, nil
 }
 
+// ablation builds the analyzer an ablation measures b through — the
+// runner's workers, cancellation and softmax/squash variants over the
+// first n test samples (0 = the sweeps' cap) — and its clean accuracy.
+// Its evaluations are unnamed, so they write no checkpoint or probes.
+func (r *Runner) ablation(b Benchmark, n int) (*core.Analyzer, float64, error) {
+	a, err := r.analyzer(b, core.Options{MaxEval: n}, Overrides{})
+	if err != nil {
+		return nil, 0, err
+	}
+	clean, err := a.Evaluate(r.ctx(), nil, nil, "")
+	return a, clean, err
+}
+
 // trials is the number of noise seeds averaged per sweep point.
 func (r *Runner) trials() int {
 	if r.Cfg.Quick {
@@ -441,7 +459,10 @@ func (r *Runner) Trained(b Benchmark) (*Trained, error) {
 func (r *Runner) finish(b Benchmark, net *caps.Network, ds *datasets.Dataset) (*Trained, error) {
 	net.Obs = r.obs()
 	sp := r.obs().StartSpan("train.eval", obs.F("benchmark", b.Key()))
-	acc, err := caps.AccuracyCtx(r.ctx(), net, ds.TestX, ds.TestY, noise.None{}, 32, 0)
+	// The trained network's own accuracy: the whole test split under the
+	// exact nonlinearities, whatever variants the analyses run under.
+	a := &core.Analyzer{Net: net, Data: ds, Obs: r.obs(), Opts: core.Options{Batch: 32, Workers: r.Cfg.Workers}}
+	acc, err := a.Evaluate(r.ctx(), nil, nil, "")
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("evaluate %s: %w", b.Key(), err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"redcane/internal/caps"
 	"redcane/internal/core"
 	"redcane/internal/noise"
 )
@@ -33,16 +32,14 @@ type SelectionResult struct {
 
 // AblationSelectionStrategy evaluates the frontier on one benchmark.
 func (r *Runner) AblationSelectionStrategy(b Benchmark) (*SelectionResult, error) {
-	t, err := r.Trained(b)
-	if err != nil {
-		return nil, err
-	}
 	design, err := r.Design(b)
 	if err != nil {
 		return nil, err
 	}
-	x, y := capEval(t, r.evalCap())
-	clean := caps.Accuracy(t.Net, x, y, noise.None{}, 32)
+	a, clean, err := r.ablation(b, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &SelectionResult{
 		Benchmark: b,
@@ -58,13 +55,13 @@ func (r *Runner) AblationSelectionStrategy(b Benchmark) (*SelectionResult, error
 	// multi-depth library profiles each component at several chain
 	// lengths, so the rows group by component and every site draws the NM
 	// measured at the depth closest to its layer's MAC fan-in.
-	sites := t.Net.Sites()
-	mulOps := t.Net.OpsByLayer(1)
+	sites := a.Net.Sites()
+	mulOps := a.Net.OpsByLayer(1)
 	var totalMul float64
 	for _, c := range mulOps {
 		totalMul += c.Mul
 	}
-	depths := t.Net.MACDepths()
+	depths := a.Net.MACDepths()
 	var order []string
 	byName := map[string][]core.ComponentProfile{}
 	for _, p := range design.Profiles() {
@@ -95,8 +92,10 @@ func (r *Runner) AblationSelectionStrategy(b Benchmark) (*SelectionResult, error
 			}
 			params[s] = noise.Params{NM: best.NM, NA: 0}
 		}
-		inj := noise.NewPerSite(params, r.Cfg.Seed+71)
-		acc := caps.Accuracy(t.Net, x, y, inj, 32)
+		acc, err := a.Evaluate(r.ctx(), nil, noise.NewPerSite(params, r.Cfg.Seed+71), "")
+		if err != nil {
+			return nil, err
+		}
 		out.Uniform = append(out.Uniform, SelectionRow{
 			Design:    "uniform " + name,
 			Accuracy:  acc,

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"redcane/internal/caps"
 	"redcane/internal/core"
 	"redcane/internal/noise"
 	"redcane/internal/tensor"
@@ -94,21 +93,24 @@ type RangeEstimatorResult struct {
 
 // AblationRangeEstimator measures both estimators on the MAC outputs.
 func (r *Runner) AblationRangeEstimator(b Benchmark) (*RangeEstimatorResult, error) {
-	t, err := r.Trained(b)
+	a, clean, err := r.ablation(b, 0)
 	if err != nil {
 		return nil, err
 	}
-	x, y := capEval(t, r.evalCap())
-	clean := caps.Accuracy(t.Net, x, y, noise.None{}, 32)
 	const nm = 0.02
 	out := &RangeEstimatorResult{Benchmark: b, NM: nm, Drops: map[string]float64{}}
 
-	minmax := noise.NewGaussian(nm, 0, noise.ForGroup(noise.MACOutputs), r.Cfg.Seed+81)
-	out.Drops["minmax"] = caps.Accuracy(t.Net, x, y, minmax, 32) - clean
-
-	robust := noise.NewGaussian(nm, 0, noise.ForGroup(noise.MACOutputs), r.Cfg.Seed+81)
-	robust.RangeFn = func(v *tensor.Tensor) float64 { return tensor.PercentileRange(v, 0.1, 99.9) }
-	out.Drops["p99.9"] = caps.Accuracy(t.Net, x, y, robust, 32) - clean
+	for _, name := range []string{"minmax", "p99.9"} {
+		inj := noise.NewGaussian(nm, 0, noise.ForGroup(noise.MACOutputs), r.Cfg.Seed+81)
+		if name == "p99.9" {
+			inj.RangeFn = func(v *tensor.Tensor) float64 { return tensor.PercentileRange(v, 0.1, 99.9) }
+		}
+		acc, err := a.Evaluate(r.ctx(), nil, inj, "")
+		if err != nil {
+			return nil, err
+		}
+		out.Drops[name] = acc - clean
+	}
 	return out, nil
 }
 

@@ -124,15 +124,6 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 	if err != nil {
 		return nil, err
 	}
-	opts := a.Opts
-	// The prediction passes run under the same softmax/squash variants as
-	// the analyzer's measurements, so an approximate-nonlinearity
-	// validation compares like with like.
-	nl, err := core.ResolveNonlinearity(opts.Softmax, opts.Squash)
-	if err != nil {
-		return nil, err
-	}
-	predBe := caps.WithNonlinearity(caps.Float{}, nl)
 	ctx := r.ctx()
 	sp := r.obs().StartSpan("experiment.validate",
 		obs.F("benchmark", b.Key()), obs.F("backend", backendName), obs.F("bits", bits))
@@ -157,11 +148,6 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 	}
 	out.QuantBaseline = baseline
 
-	t, err := r.Trained(b)
-	if err != nil {
-		return nil, err
-	}
-	x, y := capEval(t, opts.MaxEval)
 	choices := d.Report.Choices
 	row := func(scope, name string, subset []core.Choice) error {
 		macSites := 0
@@ -170,8 +156,10 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 				macSites++
 			}
 		}
-		inj := core.NewPerSiteInjector(subset, opts.Seed+777)
-		predicted, err := caps.AccuracyExec(ctx, t.Net, x, y, inj, predBe, opts.Batch, opts.Workers)
+		// The prediction runs under the analyzer's softmax/squash variants,
+		// like the measurement, so an approximate-nonlinearity validation
+		// compares like with like.
+		predicted, err := a.Evaluate(ctx, nil, core.NewPerSiteInjector(subset, a.Opts.Seed+777), "")
 		if err != nil {
 			return err
 		}

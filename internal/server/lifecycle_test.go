@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"context"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,4 +114,44 @@ func TestDrainKeepsRequeuedJobStreamsOpenUntilDrained(t *testing.T) {
 		t.Fatal("drain completed but the requeued job's event stream never ended")
 	}
 	waitState(t, ts, b.ID, StateDone)
+}
+
+// TestPanickingJobFailsAndServerKeepsServing: a job whose run panics
+// ends failed with the panic value as its error and its stack on the
+// event stream, while the server goes on to run the next job and drains
+// cleanly.
+func TestPanickingJobFailsAndServerKeepsServing(t *testing.T) {
+	run := func(ctx context.Context, spec JobSpec, jobDir string, o *obs.Obs) (Artifacts, error) {
+		if spec.Kind == "layer-sweep" {
+			panic("boom")
+		}
+		return Artifacts{Text: "ok"}, nil
+	}
+	s, ts := newTestServer(t, Config{Slots: 1}, run)
+
+	bad, _ := postJob(t, ts, `{"kind":"layer-sweep"}`)
+	if st := waitState(t, ts, bad.ID, StateFailed); !strings.Contains(st.Error, "boom") {
+		t.Fatalf("failed job error = %q, want the panic value", st.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + bad.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(events), "job panicked") || !strings.Contains(string(events), "runRecovered") {
+		t.Fatalf("event stream lacks the panic and its stack:\n%s", events)
+	}
+
+	good, _ := postJob(t, ts, `{"kind":"group-sweep"}`)
+	waitState(t, ts, good.ID, StateDone)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 }

@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -395,6 +396,20 @@ func (s *Server) schedule() {
 	}
 }
 
+// runRecovered runs j under run, turning a panic into the job's error:
+// the panic value becomes the error and the stack goes to the job's
+// event stream, so one broken job fails alone and the server keeps
+// serving.
+func runRecovered(ctx context.Context, run RunFunc, j *job, o *obs.Obs) (art Artifacts, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			o.Error("job panicked", obs.F("id", j.id), obs.F("panic", v), obs.F("stack", string(debug.Stack())))
+			err = fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return run(ctx, j.spec, j.dir, o)
+}
+
 // runJob drives one job to a terminal state (or back to queued when the
 // server drains out from under it).
 func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job) {
@@ -420,7 +435,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job) 
 		run = s.runSpec
 	}
 	runStart := time.Now()
-	art, err := run(ctx, j.spec, j.dir, o)
+	art, err := runRecovered(ctx, run, j, o)
 	m.Timer("server.job.run").Observe(time.Since(runStart))
 
 	var writeErr error

@@ -268,10 +268,13 @@ func (wk *Worker) post(ctx context.Context, path string, body, out any) (int, er
 
 // ExperimentResolver is the production Resolve: it rebuilds the sweep's
 // trained benchmark through the experiment runner — training is
-// goroutine-free and therefore deterministic, so every fleet member
-// reproduces bit-identical weights from (benchmark, quick, train seed),
-// or loads them from a shared weight-cache dir — and pairs it with the
-// wire options. Resolved benchmarks are cached across leases.
+// goroutine-free and therefore deterministic, so every fleet member of
+// one GOARCH reproduces bit-identical weights from (benchmark, quick,
+// train seed), or loads them from a shared weight-cache dir — and pairs
+// it with the wire options. Resolved benchmarks are cached across leases.
+// Members of different GOARCHes train different weights (a 386 build's
+// math.Exp differs in the last bits), and nothing in WireSweep detects
+// such a mixed fleet.
 func ExperimentResolver(dir string, quickOverride *bool, workers int, o *obs.Obs) func(WireSweep) (*core.Analyzer, error) {
 	type trainedKey struct {
 		benchmark string
