@@ -275,8 +275,8 @@ func BenchmarkConv2DKernel(b *testing.B) {
 }
 
 // BenchmarkQuantConv2DExact measures the bit-exact quantized conv kernel
-// (code-domain integer GEMM, exact multiplier) on the same shape as
-// BenchmarkConv2DKernel.
+// (the float conv over operand codes plus the zero-point epilogue) on
+// the same shape as BenchmarkConv2DKernel.
 func BenchmarkQuantConv2DExact(b *testing.B) {
 	x := tensor.New(8, 16, 16, 16).FillNormal(tensor.NewRNG(1), 0, 1)
 	w := tensor.New(32, 16, 3, 3).FillNormal(tensor.NewRNG(2), 0, 1)
@@ -289,26 +289,55 @@ func BenchmarkQuantConv2DExact(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantConv2DLUT is the approximate-multiplier variant: the same
-// integer GEMM with every product through a compiled 8-bit LUT.
+// benchLUTMult is the approximate multiplier of the LUT kernel
+// benchmarks.
+var benchLUTMult = approx.BrokenCarry{Depth: 6, Compensate: true}
+
+// benchLUTBackend compiles benchLUTMult for layer "L" once, outside the
+// timed loop, so the LUT kernel benchmarks time the kernel alone;
+// BenchmarkCompileLUT times the compilation.
+func benchLUTBackend(b *testing.B) *axe.QuantApprox {
+	be, err := axe.NewQuantApprox(8, map[string]approx.Multiplier{"L": benchLUTMult})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return be
+}
+
+// BenchmarkQuantConv2DLUT is the approximate-multiplier variant: the
+// integer GEMM with every product through the compiled 8-bit LUT.
 func BenchmarkQuantConv2DLUT(b *testing.B) {
 	x := tensor.New(8, 16, 16, 16).FillNormal(tensor.NewRNG(1), 0, 1)
 	w := tensor.New(32, 16, 3, 3).FillNormal(tensor.NewRNG(2), 0, 1)
 	bias := tensor.New(32)
+	be := benchLUTBackend(b)
+	s := tensor.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		axe.QuantConv2D(x, w, bias, 1, 1, approx.BrokenCarry{Depth: 6, Compensate: true}, 8)
+		s.Release(be.Conv2D("L", x, w, bias, 1, 1, s))
 	}
 }
 
 // BenchmarkQuantCapsVotes measures the quantized fully-connected capsule
-// vote kernel on the BenchmarkDynamicRoutingKernel layer shape.
+// vote kernel through the LUT on the BenchmarkDynamicRoutingKernel
+// layer shape.
 func BenchmarkQuantCapsVotes(b *testing.B) {
 	u := tensor.New(8, 64, 8).FillNormal(tensor.NewRNG(4), 0, 0.3)
 	w := tensor.New(64, 10, 16, 8).FillGlorot(tensor.NewRNG(3), 8, 16)
+	be := benchLUTBackend(b)
+	s := tensor.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		axe.QuantClassCapsVotes(u, w, approx.BrokenCarry{Depth: 6, Compensate: true}, 8)
+		s.Release(be.CapsVotes("L", u, w, s))
+	}
+}
+
+// BenchmarkCompileLUT measures enumerating a behavioral multiplier into
+// its 65,536-entry LUT, which QuantApprox does once per distinct
+// multiplier.
+func BenchmarkCompileLUT(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		approx.CompileLUT(benchLUTMult)
 	}
 }
 

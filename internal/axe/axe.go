@@ -11,6 +11,13 @@
 // prefix caching, checkpoints, telemetry) that evaluates the noise
 // model's prediction, and the two can be compared per group and per
 // layer (the `redcane validate` experiment).
+//
+// Every kernel has one implementation per arithmetic. Exact MACs run on
+// the float kernels (tensor.Conv2DScratch, tensor.MatVecT) over operand
+// codes held as float64, which floatExact proves round-free. LUT MACs
+// run lutGEMM, an integer GEMM in which each x code selects one row of
+// the compiled table. Both produce the raw code-domain product sums; one
+// epilogue per kernel adds the zero-point cross terms.
 package axe
 
 import (
@@ -20,28 +27,6 @@ import (
 	"redcane/internal/fixed"
 	"redcane/internal/tensor"
 )
-
-// macMul is the multiplier plugged into the quantized MAC kernels. It is
-// a type parameter (not an interface field), so the exact and LUT kernels
-// share one implementation. The per-product call does not inline: Go
-// compiles the kernels once per GC shape and calls m.mul through the
-// generic dictionary (go build -gcflags='-m -m' ./internal/axe).
-type macMul interface {
-	// mul returns the (possibly approximate) product of two operand
-	// codes. Codes are ≤ 8 bits for LUT multipliers, ≤ 16 bits exact.
-	mul(a, b uint16) uint32
-}
-
-// exactMul multiplies operand codes exactly (any wordlength up to 16).
-type exactMul struct{}
-
-func (exactMul) mul(a, b uint16) uint32 { return uint32(a) * uint32(b) }
-
-// lutMul multiplies 8-bit operand codes through a compiled behavioral
-// LUT.
-type lutMul struct{ t *approx.LUT }
-
-func (m lutMul) mul(a, b uint16) uint32 { return uint32(m.t.Mul(uint8(a), uint8(b))) }
 
 // quantizeCodes calibrates a b-bit affine quantizer on t and encodes
 // every element into a scratch-recycled code buffer.
@@ -54,179 +39,255 @@ func quantizeCodes(t *tensor.Tensor, bits uint, s *tensor.Scratch) (fixed.Quanti
 	return q, codes
 }
 
+// floatCodes copies operand codes into a float64 tensor of the given
+// shape for the float kernels; elements past len(codes) are set to fill.
+func floatCodes(codes []uint16, fill float64, s *tensor.Scratch, shape ...int) *tensor.Tensor {
+	t := s.Take(shape...)
+	for i, c := range codes {
+		t.Data[i] = float64(c)
+	}
+	for i := len(codes); i < len(t.Data); i++ {
+		t.Data[i] = fill
+	}
+	return t
+}
+
+// floatExact reports whether exact b-bit MACs over patch terms can run
+// on the float64 kernels bit-exactly: every product and partial sum is
+// a non-negative integer ≤ patch·(2^b−1)², and float64 holds every
+// integer up to 2^53, so in any summation order no add or multiply
+// rounds while that bound is ≤ 2^53.
+func floatExact(patch int, bits uint) bool {
+	maxCode := uint64(1)<<bits - 1
+	return bits >= 1 && bits <= 16 && uint64(patch) <= (1<<53)/(maxCode*maxCode)
+}
+
+// checkFloatExact panics unless floatExact holds; the exact kernels
+// call it once per call.
+func checkFloatExact(patch int, bits uint) {
+	if !floatExact(patch, bits) {
+		panic(fmt.Sprintf("axe: exact %d-bit MACs over %d terms can exceed 2^53", bits, patch))
+	}
+}
+
 // accSatMax returns the largest magnitude the hardware accumulator model
 // holds for b-bit operands: a 2b-bit product register plus 8 guard bits
 // (256 guard terms), signed. A raw code-domain product sum beyond
 // ±(2^(2b+7)) is an accumulator overflow on such hardware — the numeric
-// health probes count these. The Go kernels themselves accumulate in
-// int64 and never wrap; the count is diagnostic only.
+// health probes count these. The kernels themselves never wrap (exact
+// float64 or int64 sums); the count is diagnostic only.
 func accSatMax(bits uint) int64 {
 	accBits := 2*bits + 8
 	return int64(1)<<(accBits-1) - 1
 }
 
-// quantGEMMMaxCols caps the size (in uint16 elements) of the code-domain
-// im2col matrix the quantized conv materializes; convolutions whose
-// matrix would be larger stream one patch row at a time instead. A
-// package variable so tests can force the streaming path. Both paths
-// compute identical integer sums, so the cutoff never changes results.
-var quantGEMMMaxCols = 1 << 22
+// tileRows transposes groups consecutive row-major [nRows, k] code
+// matrices into lutGEMM's 8-row tiles: tile t of group g holds, for each
+// column i, the codes of rows 8t…8t+7 side by side, so the tiles of a
+// group start every 8k elements. Rows past nRows are code 0; their sums
+// are computed and dropped.
+func tileRows(w []uint16, groups, nRows, k int, s *tensor.Scratch) []uint16 {
+	tiles := (nRows + 7) / 8
+	wt := s.TakeU16(groups * tiles * 8 * k)
+	for g := 0; g < groups; g++ {
+		for t := 0; t < tiles; t++ {
+			tile := wt[(g*tiles+t)*8*k : (g*tiles+t+1)*8*k]
+			for j := 0; j < 8; j++ {
+				r := t*8 + j
+				for i := 0; i < k; i++ {
+					tile[i*8+j] = 0
+					if r < nRows {
+						tile[i*8+j] = w[(g*nRows+r)*k+i]
+					}
+				}
+			}
+		}
+	}
+	return wt
+}
 
-// convWindow holds the hoisted per-(oy,ox) border quantities for one
-// distinct valid-tap window [kyLo,kyHi)×[kxLo,kxHi): the per-channel
-// valid weight-code sums, the per-channel correction for zero-code
-// padded products (nonzero only for multipliers with mul(0,c) ≠ 0), and
-// the valid tap count. There are at most (KH+1)·(KW+1) distinct windows
-// per convolution, so each is computed once instead of re-walking the
-// kernel per (oc, oy, ox) as the pre-GEMM kernel did.
+// lutGEMM multiplies one row of ≤ 8-bit codes x through lut against
+// nRows weight rows held as 8-row tiles (tileRows), writing row r's raw
+// product sum to dst[r*stride]. Each x code selects one 256-entry table
+// row, shared by the tile's 8 weight codes, and the lookups accumulate
+// in integers, so the result is order-free.
+func lutGEMM(lut *approx.LUT, x, wt []uint16, dst []float64, stride, nRows int) {
+	k := len(x)
+	for t := 0; t*8 < nRows; t++ {
+		var sums [8]int64
+		for i0 := 0; i0 < k; i0 += 1 << 16 {
+			i1 := min(k, i0+1<<16)
+			a01, a23, a45, a67 := lutTile(lut, x[i0:i1], wt[(t*8*k+8*i0):(t*8*k+8*i1)])
+			for j, a := range [4]uint64{a01, a23, a45, a67} {
+				sums[2*j] += int64(a & 0xFFFFFFFF)
+				sums[2*j+1] += int64(a >> 32)
+			}
+		}
+		for j, a := range sums {
+			if t*8+j < nRows {
+				dst[(t*8+j)*stride] = float64(a)
+			}
+		}
+	}
+}
+
+// lutTile returns the raw product sums of x against one 8-row tile. The
+// sums ride two 32-bit lanes per register, so the 8 accumulators need
+// only 4 registers; a lane sums at most 2^16 products of at most 16
+// bits (the caller chunks longer rows), so it never carries into its
+// neighbour.
+func lutTile(lut *approx.LUT, x, tile []uint16) (a01, a23, a45, a67 uint64) {
+	tile = tile[:8*len(x)]
+	for i, xc := range x {
+		row := lut.Row(uint8(xc))
+		w := tile[i*8 : i*8+8 : i*8+8]
+		a01 += uint64(row[uint8(w[0])]) | uint64(row[uint8(w[1])])<<32
+		a23 += uint64(row[uint8(w[2])]) | uint64(row[uint8(w[3])])<<32
+		a45 += uint64(row[uint8(w[4])]) | uint64(row[uint8(w[5])])<<32
+		a67 += uint64(row[uint8(w[6])]) | uint64(row[uint8(w[7])])<<32
+	}
+	return a01, a23, a45, a67
+}
+
+// convWindow holds the hoisted quantities for one distinct valid-tap
+// window [kyLo,kyHi)×[kxLo,kxHi): the per-channel valid weight-code
+// sums, the per-channel correction for zero-code padded products
+// (non-nil only for a LUT on a border window: multipliers may have
+// mul(0,c) ≠ 0), and the valid tap count. There are at most
+// (KH+1)·(KW+1) distinct windows per convolution, each built once.
 type convWindow struct {
 	wsum  []int64 // per-oc Σ wq over the valid window
 	m0    []int64 // per-oc Σ mul(0, wq) over the *padded* complement
 	valid int64
 }
 
-// quantConv2D convolves x [n, inCh, h, w] with kernels w [outCh, inCh,
-// k, k] using b-bit affine-quantized operands and m for every partial
-// product, accumulating exactly. Bias (may be nil) is added in float.
-// Both quantizers are calibrated per call on the full tensors, the same
-// per-array ranging the paper's noise model uses. The output may come
-// from the scratch arena; callers release it.
-//
-// The kernel is a code-domain integer GEMM: operand codes are gathered
-// once into a uint16 im2col matrix (padding as code 0), each patch row's
-// Σ x-codes is computed once for all output channels, and the per-product
-// multiplier runs over flat contiguous rows. Zero-point cross terms use
-// the hoisted convWindow tables on border positions; interior positions
-// never test padding. Integer accumulation is order-free, so this is
-// exact-equal to the naive reference (axe_ref.go) by construction.
-// A non-nil ovf additionally tallies accumulator overflows (see
-// accSatMax) without changing any output bit.
-func quantConv2D[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits uint, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
-	qx, xq := quantizeCodes(x, bits, s)
-	qw, wq := quantizeCodes(w, bits, s)
+// convWindows returns the convWindow of every output position
+// (index oy·ow+ox); interior positions share one.
+func convWindows(lut *approx.LUT, wq []uint16, spec tensor.ConvSpec, h, wd, oh, ow int) []*convWindow {
+	patch := spec.InCh * spec.KH * spec.KW
+	build := func(yLo, yHi, xLo, xHi int) *convWindow {
+		win := &convWindow{wsum: make([]int64, spec.OutCh), valid: int64(spec.InCh * (yHi - yLo) * (xHi - xLo))}
+		if lut != nil && win.valid < int64(patch) {
+			win.m0 = make([]int64, spec.OutCh)
+		}
+		for oc := range win.wsum {
+			for r := oc * spec.InCh * spec.KH; r < (oc+1)*spec.InCh*spec.KH; r++ {
+				ky := r % spec.KH // one division per kernel row, not per tap
+				for kx, c := range wq[r*spec.KW : (r+1)*spec.KW] {
+					if ky >= yLo && ky < yHi && kx >= xLo && kx < xHi {
+						win.wsum[oc] += int64(c)
+					} else if win.m0 != nil {
+						win.m0[oc] += int64(lut.Mul(0, uint8(c)))
+					}
+				}
+			}
+		}
+		return win
+	}
+	built := map[[4]int]*convWindow{}
+	wins := make([]*convWindow, oh*ow)
+	for oy := 0; oy < oh; oy++ {
+		yLo, yHi := clampTap(oy, spec.Stride, spec.Pad, spec.KH, h)
+		for ox := 0; ox < ow; ox++ {
+			xLo, xHi := clampTap(ox, spec.Stride, spec.Pad, spec.KW, wd)
+			key := [4]int{yLo, yHi, xLo, xHi}
+			if built[key] == nil {
+				built[key] = build(yLo, yHi, xLo, xHi)
+			}
+			wins[oy*ow+ox] = built[key]
+		}
+	}
+	return wins
+}
 
+// quantConv2D convolves x [n, inCh, h, w] with kernels w [outCh, inCh,
+// k, k] using b-bit affine-quantized operands, multiplying exactly (lut
+// nil) or through lut (≤ 8 bits), and accumulating exactly. Bias (may
+// be nil) is added in float. Both quantizers are calibrated per call on
+// the full tensors, the same per-array ranging the paper's noise model
+// uses. The output comes from the scratch arena; callers release it.
+//
+// The raw product sums Σ x·w and each patch's Σ x land in one
+// [n, outCh+1, oh, ow] tensor, channel outCh holding Σ x. Exact MACs get
+// it from the float conv over float64 codes, with Σ x as one extra
+// all-ones kernel channel; LUT MACs from lutGEMM over a uint16 im2col
+// (padding as code 0). The epilogue then adds the zero-point cross
+// terms from the hoisted convWindow tables. Integer sums are order-free,
+// so this is exact-equal to the naive reference (axe_ref.go). A non-nil
+// ovf additionally tallies accumulator overflows (see accSatMax) without
+// changing any output bit.
+func quantConv2D(lut *approx.LUT, x, w, bias *tensor.Tensor, stride, pad int, bits uint, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
 	spec := tensor.ConvSpec{
 		KH: w.Shape[2], KW: w.Shape[3], Stride: stride, Pad: pad,
 		OutCh: w.Shape[0], InCh: w.Shape[1],
 	}
 	n, h, wd := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, wd)
-
-	k := spec.KH * spec.KW
-	patch := spec.InCh * k
-	out := s.Take(n, spec.OutCh, oh, ow)
+	patch := spec.InCh * spec.KH * spec.KW
 	rows := oh * ow
+	if lut == nil {
+		checkFloatExact(patch, bits)
+	}
+	qx, xq := quantizeCodes(x, bits, s)
+	qw, wq := quantizeCodes(w, bits, s)
 
-	// Whole-kernel per-oc sums: Σ wq and Σ mul(0, wq).
-	sumWq := make([]int64, spec.OutCh)
-	sumM0 := make([]int64, spec.OutCh)
-	for oc := 0; oc < spec.OutCh; oc++ {
-		wrow := wq[oc*patch : (oc+1)*patch]
-		var sw, s0 int64
-		for _, c := range wrow {
-			sw += int64(c)
-			s0 += int64(m.mul(0, c))
+	var sums *tensor.Tensor
+	if lut == nil {
+		xf := floatCodes(xq, 0, s, x.Shape...)
+		wf := floatCodes(wq, 1, s, spec.OutCh+1, spec.InCh, spec.KH, spec.KW)
+		sums = tensor.Conv2DScratch(xf, wf, nil, stride, pad, s) // fresh, not lent by s
+		s.Release(xf, wf)
+	} else {
+		xcols := s.TakeU16(n * rows * patch)
+		for r := 0; r < n*rows; r++ {
+			gatherCodeRow(xcols[r*patch:(r+1)*patch], xq, r/rows, r%rows/ow, r%ow, h, wd, spec)
 		}
-		sumWq[oc] = sw
-		sumM0[oc] = s0
-	}
-	interior := &convWindow{wsum: sumWq, valid: int64(patch)}
-
-	// Valid-tap ranges per output row/column and the lazily-built window
-	// table for border positions.
-	kyLo := make([]int, oh)
-	kyHi := make([]int, oh)
-	for oy := 0; oy < oh; oy++ {
-		kyLo[oy], kyHi[oy] = clampTap(oy, stride, pad, spec.KH, h)
-	}
-	kxLo := make([]int, ow)
-	kxHi := make([]int, ow)
-	for ox := 0; ox < ow; ox++ {
-		kxLo[ox], kxHi[ox] = clampTap(ox, stride, pad, spec.KW, wd)
-	}
-	windows := map[int]*convWindow{}
-	winFor := func(yLo, yHi, xLo, xHi int) *convWindow {
-		if yLo == 0 && yHi == spec.KH && xLo == 0 && xHi == spec.KW {
-			return interior
-		}
-		key := ((yLo*(spec.KH+1)+yHi)*(spec.KW+1)+xLo)*(spec.KW+1) + xHi
-		if bw, ok := windows[key]; ok {
-			return bw
-		}
-		bw := &convWindow{
-			wsum:  make([]int64, spec.OutCh),
-			m0:    make([]int64, spec.OutCh),
-			valid: int64(spec.InCh * (yHi - yLo) * (xHi - xLo)),
-		}
-		for oc := 0; oc < spec.OutCh; oc++ {
-			var sw, s0 int64
-			for ci := 0; ci < spec.InCh; ci++ {
-				for ky := yLo; ky < yHi; ky++ {
-					base := oc*patch + (ci*spec.KH+ky)*spec.KW
-					for kx := xLo; kx < xHi; kx++ {
-						c := wq[base+kx]
-						sw += int64(c)
-						s0 += int64(m.mul(0, c))
-					}
-				}
+		wt := tileRows(wq, 1, spec.OutCh, patch, s)
+		sums = s.Take(n, spec.OutCh+1, oh, ow)
+		for r := 0; r < n*rows; r++ {
+			xrow := xcols[r*patch : (r+1)*patch]
+			dst := sums.Data[r/rows*(spec.OutCh+1)*rows+r%rows:]
+			var xs int64
+			for _, c := range xrow {
+				xs += int64(c)
 			}
-			bw.wsum[oc] = sw
-			// Padded complement: zero-code products the flat GEMM row
-			// accumulated that the reference never sees.
-			bw.m0[oc] = sumM0[oc] - s0
+			dst[spec.OutCh*rows] = float64(xs)
+			lutGEMM(lut, xrow, wt, dst, rows, spec.OutCh)
 		}
-		windows[key] = bw
-		return bw
+		s.ReleaseU16(xcols, wt)
 	}
 
+	wins := convWindows(lut, wq, spec, h, wd, oh, ow)
 	sx, mx := qx.Step(), qx.Min
 	sw, mw := qw.Step(), qw.Min
-	var biasData []float64
-	if bias != nil {
-		biasData = bias.Data
-	}
 	satMax := accSatMax(bits)
-
-	if n*rows*patch <= quantGEMMMaxCols {
-		// Materialize the code im2col matrix once (padding = code 0).
-		xcols := s.TakeU16(n * rows * patch)
-		r := 0
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					gatherCodeRow(xcols[r*patch:(r+1)*patch], xq, b, oy, ox, h, wd, spec)
-					r++
+	out := s.Take(n, spec.OutCh, oh, ow)
+	for b := 0; b < n; b++ {
+		src := sums.Data[b*(spec.OutCh+1)*rows : (b+1)*(spec.OutCh+1)*rows]
+		xSum := src[spec.OutCh*rows:]
+		for oc := 0; oc < spec.OutCh; oc++ {
+			dst := out.Data[(b*spec.OutCh+oc)*rows : (b*spec.OutCh+oc+1)*rows]
+			for p, win := range wins {
+				raw := int64(src[oc*rows+p])
+				if ovf != nil && raw > satMax {
+					*ovf++ // hardware accumulates every term, pads included
 				}
+				if win.m0 != nil {
+					raw -= win.m0[oc]
+				}
+				acc := sx*sw*float64(raw) +
+					sx*mw*xSum[p] +
+					sw*mx*float64(win.wsum[oc]) +
+					mx*mw*float64(win.valid)
+				if bias != nil {
+					acc += bias.Data[oc]
+				}
+				dst[p] = acc
 			}
 		}
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := xcols[((b*oh+oy)*ow+ox)*patch:]
-					row = row[:patch:patch]
-					win := winFor(kyLo[oy], kyHi[oy], kxLo[ox], kxHi[ox])
-					quantAccRow(m, row, wq, win, sx, mx, sw, mw, biasData,
-						out.Data[b*spec.OutCh*rows+oy*ow+ox:], rows, satMax, ovf)
-				}
-			}
-		}
-		s.ReleaseU16(xcols)
-	} else {
-		// Streaming fallback: gather one patch row at a time. Same
-		// integer sums, same hoisted border tables.
-		rowBuf := s.TakeU16(patch)
-		row := rowBuf[:patch:patch]
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					gatherCodeRow(row, xq, b, oy, ox, h, wd, spec)
-					win := winFor(kyLo[oy], kyHi[oy], kxLo[ox], kxHi[ox])
-					quantAccRow(m, row, wq, win, sx, mx, sw, mw, biasData,
-						out.Data[b*spec.OutCh*rows+oy*ow+ox:], rows, satMax, ovf)
-				}
-			}
-		}
-		s.ReleaseU16(rowBuf)
+	}
+	if lut != nil {
+		s.Release(sums)
 	}
 	s.ReleaseU16(xq, wq)
 	return out
@@ -277,47 +338,14 @@ func gatherCodeRow(dst []uint16, xq []uint16, b, oy, ox, h, wd int, spec tensor.
 	}
 }
 
-// quantAccRow accumulates one patch row against every output channel:
-// the flat code-domain dot through m, the hoisted zero-point cross
-// terms, and the float epilogue. dst[oc*dstStride] receives channel oc.
-// A non-nil ovf counts raw product sums (before the pad correction —
-// hardware accumulates every term) whose magnitude exceeds satMax.
-func quantAccRow[M macMul](m M, row, wq []uint16, win *convWindow, sx, mx, sw, mw float64, bias []float64, dst []float64, dstStride int, satMax int64, ovf *int64) {
-	var xSum int64
-	for _, xc := range row {
-		xSum += int64(xc)
-	}
-	patch := len(row)
-	for oc := range win.wsum {
-		wrow := wq[oc*patch : (oc+1)*patch : (oc+1)*patch]
-		var lutSum int64
-		for i, xc := range row {
-			lutSum += int64(m.mul(xc, wrow[i]))
-		}
-		if ovf != nil && (lutSum > satMax || lutSum < -satMax-1) {
-			*ovf++
-		}
-		if win.m0 != nil {
-			lutSum -= win.m0[oc]
-		}
-		acc := sx*sw*float64(lutSum) +
-			sx*mw*float64(xSum) +
-			sw*mx*float64(win.wsum[oc]) +
-			mx*mw*float64(win.valid)
-		if bias != nil {
-			acc += bias[oc]
-		}
-		dst[oc*dstStride] = acc
-	}
-}
-
 // QuantConv2D convolves with b-bit quantized operands and the given
 // approximate multiplier for every partial product. It is the standalone
-// kernel entry point (the backends wrap it with operand-buffer reuse);
-// multiplier LUTs are 8-bit, so bits must be ≤ 8.
+// kernel entry point (it compiles the multiplier's LUT on every call;
+// the backends compile once and reuse operand buffers); multiplier LUTs
+// are 8-bit, so bits must be ≤ 8.
 func QuantConv2D(x, w, bias *tensor.Tensor, stride, pad int, mult approx.Multiplier, bits uint) *tensor.Tensor {
 	if bits > 8 {
 		panic(fmt.Sprintf("axe: multiplier LUTs are 8-bit, got %d", bits))
 	}
-	return quantConv2D(lutMul{approx.CompileLUT(mult)}, x, w, bias, stride, pad, bits, nil, nil)
+	return quantConv2D(approx.CompileLUT(mult), x, w, bias, stride, pad, bits, nil, nil)
 }

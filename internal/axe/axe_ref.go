@@ -6,12 +6,13 @@ import "redcane/internal/tensor"
 // pre-GEMM per-pixel loops), retained as oracles. Integer accumulation
 // is associative, so the optimized kernels must match these exactly —
 // equal integer sums feed the identical float epilogue expression, and
-// the tests demand bitwise equality.
+// the tests demand bitwise equality. mul is the multiplier on operand
+// codes (exact, or a LUT's Mul widened).
 
 // quantConv2DRef is the 6-deep per-pixel reference: for every
 // (b, oy, ox, oc) it walks the kernel window, skipping padded taps, and
 // re-derives the valid weight-code sum on border positions.
-func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, bits uint) *tensor.Tensor {
+func quantConv2DRef(mul func(a, b uint16) uint32, x, w, bias *tensor.Tensor, stride, pad int, bits uint) *tensor.Tensor {
 	qx, xq := quantizeCodes(x, bits, nil)
 	qw, wq := quantizeCodes(w, bits, nil)
 
@@ -56,7 +57,7 @@ func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, b
 									continue
 								}
 								xc := xq[((b*spec.InCh+ci)*h+iy)*wd+ix]
-								lutSum += int64(m.mul(xc, wq[widx]))
+								lutSum += int64(mul(xc, wq[widx]))
 								xSum += int64(xc)
 							}
 						}
@@ -96,7 +97,7 @@ func quantConv2DRef[M macMul](m M, x, w, bias *tensor.Tensor, stride, pad int, b
 
 // quantCapsVotesRef is the per-vote reference that re-derives the
 // weight-code sum inside the innermost loop.
-func quantCapsVotesRef[M macMul](m M, u, w *tensor.Tensor, bits uint) *tensor.Tensor {
+func quantCapsVotesRef(mul func(a, b uint16) uint32, u, w *tensor.Tensor, bits uint) *tensor.Tensor {
 	qu, uc := quantizeCodes(u, bits, nil)
 	qw, wc := quantizeCodes(w, bits, nil)
 
@@ -118,7 +119,7 @@ func quantCapsVotesRef[M macMul](m M, u, w *tensor.Tensor, bits uint) *tensor.Te
 					wbase := ((i*outCaps+j)*outDim + d) * inDim
 					var lutSum, sumW int64
 					for e := 0; e < inDim; e++ {
-						lutSum += int64(m.mul(uc[ubase+e], wc[wbase+e]))
+						lutSum += int64(mul(uc[ubase+e], wc[wbase+e]))
 						sumW += int64(wc[wbase+e])
 					}
 					acc := su*sw*float64(lutSum) +

@@ -40,12 +40,12 @@ func (QuantExact) ApproxLayer(string) bool { return false }
 
 // Conv2D implements caps.Backend.
 func (b QuantExact) Conv2D(_ string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	return quantConv2D(exactMul{}, x, w, bias, stride, pad, effBits(b.Bits), s, nil)
+	return quantConv2D(nil, x, w, bias, stride, pad, effBits(b.Bits), s, nil)
 }
 
 // CapsVotes implements caps.Backend.
 func (b QuantExact) CapsVotes(_ string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return quantCapsVotes(exactMul{}, u, w, effBits(b.Bits), s, nil)
+	return quantCapsVotes(nil, u, w, effBits(b.Bits), s, nil)
 }
 
 // ExactBaseline implements caps.Baseliner: the exact path is its own
@@ -54,7 +54,7 @@ func (b QuantExact) ExactBaseline() caps.Backend { return b }
 
 // WithOverflow implements caps.OverflowBackend.
 func (b QuantExact) WithOverflow(report func(layer string, n int64)) caps.Backend {
-	return overflowQuantExact{QuantExact: b, report: report}
+	return overflowBackend{Backend: b, bits: effBits(b.Bits), report: report}
 }
 
 // QuantApprox is the approximate-execution backend: b-bit quantized MACs
@@ -124,20 +124,14 @@ func (b *QuantApprox) ApproxLayer(layer string) bool {
 	return ok
 }
 
-// Conv2D implements caps.Backend.
+// Conv2D implements caps.Backend; a layer without a LUT runs exact.
 func (b *QuantApprox) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	if lut, ok := b.luts[layer]; ok {
-		return quantConv2D(lutMul{lut}, x, w, bias, stride, pad, b.bits, s, nil)
-	}
-	return quantConv2D(exactMul{}, x, w, bias, stride, pad, b.bits, s, nil)
+	return quantConv2D(b.luts[layer], x, w, bias, stride, pad, b.bits, s, nil)
 }
 
-// CapsVotes implements caps.Backend.
+// CapsVotes implements caps.Backend; a layer without a LUT runs exact.
 func (b *QuantApprox) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	if lut, ok := b.luts[layer]; ok {
-		return quantCapsVotes(lutMul{lut}, u, w, b.bits, s, nil)
-	}
-	return quantCapsVotes(exactMul{}, u, w, b.bits, s, nil)
+	return quantCapsVotes(b.luts[layer], u, w, b.bits, s, nil)
 }
 
 // ExactBaseline implements caps.Baseliner: QuantExact at the same
@@ -146,67 +140,31 @@ func (b *QuantApprox) ExactBaseline() caps.Backend { return QuantExact{Bits: b.b
 
 // WithOverflow implements caps.OverflowBackend.
 func (b *QuantApprox) WithOverflow(report func(layer string, n int64)) caps.Backend {
-	return overflowQuantApprox{inner: b, report: report}
+	return overflowBackend{Backend: b, bits: b.bits, luts: b.luts, report: report}
 }
 
-// overflowQuantExact is QuantExact with per-call accumulator-overflow
-// reporting; outputs are bit-identical to the plain backend.
-type overflowQuantExact struct {
-	QuantExact
+// overflowBackend is a quantized backend with per-call
+// accumulator-overflow reporting; outputs are bit-identical to the
+// wrapped backend's.
+type overflowBackend struct {
+	caps.Backend
+	bits   uint
+	luts   map[string]*approx.LUT // nil for QuantExact
 	report func(layer string, n int64)
 }
 
-func (b overflowQuantExact) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
+func (b overflowBackend) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
 	var n int64
-	out := quantConv2D(exactMul{}, x, w, bias, stride, pad, effBits(b.Bits), s, &n)
+	out := quantConv2D(b.luts[layer], x, w, bias, stride, pad, b.bits, s, &n)
 	if n > 0 {
 		b.report(layer, n)
 	}
 	return out
 }
 
-func (b overflowQuantExact) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
+func (b overflowBackend) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
 	var n int64
-	out := quantCapsVotes(exactMul{}, u, w, effBits(b.Bits), s, &n)
-	if n > 0 {
-		b.report(layer, n)
-	}
-	return out
-}
-
-// overflowQuantApprox is *QuantApprox with per-call accumulator-overflow
-// reporting; outputs are bit-identical to the plain backend.
-type overflowQuantApprox struct {
-	inner  *QuantApprox
-	report func(layer string, n int64)
-}
-
-func (b overflowQuantApprox) Name() string                  { return b.inner.Name() }
-func (b overflowQuantApprox) BaseID() string                { return b.inner.BaseID() }
-func (b overflowQuantApprox) ApproxLayer(layer string) bool { return b.inner.ApproxLayer(layer) }
-
-func (b overflowQuantApprox) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	var n int64
-	var out *tensor.Tensor
-	if lut, ok := b.inner.luts[layer]; ok {
-		out = quantConv2D(lutMul{lut}, x, w, bias, stride, pad, b.inner.bits, s, &n)
-	} else {
-		out = quantConv2D(exactMul{}, x, w, bias, stride, pad, b.inner.bits, s, &n)
-	}
-	if n > 0 {
-		b.report(layer, n)
-	}
-	return out
-}
-
-func (b overflowQuantApprox) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	var n int64
-	var out *tensor.Tensor
-	if lut, ok := b.inner.luts[layer]; ok {
-		out = quantCapsVotes(lutMul{lut}, u, w, b.inner.bits, s, &n)
-	} else {
-		out = quantCapsVotes(exactMul{}, u, w, b.inner.bits, s, &n)
-	}
+	out := quantCapsVotes(b.luts[layer], u, w, b.bits, s, &n)
 	if n > 0 {
 		b.report(layer, n)
 	}
@@ -220,6 +178,5 @@ var (
 	_ caps.OverflowBackend = (*QuantApprox)(nil)
 	_ caps.Baseliner       = QuantExact{}
 	_ caps.Baseliner       = (*QuantApprox)(nil)
-	_ caps.Backend         = overflowQuantExact{}
-	_ caps.Backend         = overflowQuantApprox{}
+	_ caps.Backend         = overflowBackend{}
 )

@@ -231,6 +231,24 @@ func TestAVXMatchesScalar(t *testing.T) {
 	requireSameBits(t, "MatMulT AVX vs scalar", avxMM, MatMulT(a, b))
 }
 
+// TestAVXTileDoesNotAllocate pins the assembly prototypes' //go:noescape
+// annotations: without them the 8-row tile's lane buffer moves to the
+// heap, and every dot8Into call (20 per 160-row MatVecT) allocates.
+func TestAVXTileDoesNotAllocate(t *testing.T) {
+	if !useAVX {
+		t.Skip("AVX not in use on this machine")
+	}
+	a := New(147).FillNormal(NewRNG(21), 0, 1).Data
+	w := New(160, 147).FillNormal(NewRNG(22), 0, 1).Data
+	dst := make([]float64, 160)
+	if n := testing.AllocsPerRun(20, func() { dot8Into(dst[:8], a, w, 147) }); n != 0 {
+		t.Errorf("dot8Into allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { MatVecT(dst, a, w, 147) }); n != 0 {
+		t.Errorf("MatVecT allocates %v times per call", n)
+	}
+}
+
 func TestConv2DBackwardScratchMatchesFresh(t *testing.T) {
 	x := New(2, 3, 7, 6).FillNormal(NewRNG(11), 0, 1)
 	w := New(4, 3, 3, 3).FillNormal(NewRNG(12), 0, 1)
