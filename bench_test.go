@@ -385,6 +385,23 @@ func BenchmarkCharacterize81MAC(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileLibraryDepths times Design's library characterization
+// (core.LibraryChainLens, 5,000 chains as in quick mode) over a fixed
+// synthetic operand pool, so it needs no trained network.
+func BenchmarkProfileLibraryDepths(b *testing.B) {
+	rng := tensor.NewRNG(11)
+	pa, pb := make([]uint8, 4096), make([]uint8, 4096)
+	for i := range pa {
+		pa[i] = uint8(rng.IntN(256) * rng.IntN(2)) // half zeros, like ReLU outputs
+		pb[i] = uint8(rng.IntN(256))
+	}
+	dist := approx.EmpiricalDist(pa, pb)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.ProfileLibraryDepths(dist, core.LibraryChainLens, 5000, 51)
+	}
+}
+
 func BenchmarkTrainEpochCapsNet(b *testing.B) {
 	ds := datasets.MNISTLike(128, 32, 42)
 	spec := models.CapsNet([]int{1, 20, 20}, 10)

@@ -977,11 +977,12 @@ func characterize(w io.Writer, args []string) error {
 		lib = []approx.Component{c}
 	}
 	fmt.Fprintf(w, "%-12s %7s %7s %10s %10s %8s\n", "component", "µW", "µm²", "NM(1MAC)", "NM(81MAC)", "KS(81)")
-	for _, c := range lib {
-		p1 := approx.Characterize(c.Model, approx.Uniform{}, 1, 30000, 7)
-		p81 := approx.Characterize(c.Model, approx.Uniform{}, 81, 30000, 7)
+	models := approx.Models(lib)
+	p1 := approx.CharacterizeAll(models, approx.Uniform{}, 1, 30000, 7)
+	p81 := approx.CharacterizeAll(models, approx.Uniform{}, 81, 30000, 7)
+	for i, c := range lib {
 		fmt.Fprintf(w, "%-12s %7.0f %7.0f %10.4f %10.4f %8.3f\n",
-			c.Name, c.PowerUW, c.AreaUM2, p1.NM, p81.NM, p81.Fit.KS)
+			c.Name, c.PowerUW, c.AreaUM2, p1[i].NM, p81[i].NM, p81[i].Fit.KS)
 	}
 	return nil
 }

@@ -41,12 +41,15 @@ func main() {
 
 	fmt.Printf("\nMRED: %.4f\n", approx.MeanRelativeErrorDistance(custom))
 
-	// Where would it slot into the library (by noise magnitude)?
+	// Where would it slot into the library (by noise magnitude)? One
+	// call scores the library and the custom design on one operand stream.
+	lib := approx.Library()
+	p1 := approx.CharacterizeAll(append(approx.Models(lib), custom), approx.Uniform{}, 1, 50000, 11)
 	fmt.Println("\nlibrary context (1-MAC NM, ascending):")
-	for _, c := range approx.Library() {
-		pc := approx.Characterize(c.Model, approx.Uniform{}, 1, 50000, 11)
+	for i, c := range lib {
+		pc := p1[i]
 		marker := ""
-		if pc.NM > 0 && p9.NM > 0 && pc.NM >= approx.Characterize(custom, approx.Uniform{}, 1, 50000, 11).NM {
+		if pc.NM > 0 && p9.NM > 0 && pc.NM >= p1[len(lib)].NM {
 			marker = "   <- custom design fits below here"
 		}
 		fmt.Printf("  %-12s power %4.0f µW   NM %.4f%s\n", c.Name, c.PowerUW, pc.NM, marker)

@@ -12,7 +12,10 @@ import (
 // the "real" one (operands drawn from a CapsNet's actual quantized
 // activations and weights); Table IV compares NM/NA under both.
 type InputDist interface {
-	// Sample returns one (activation, weight) operand pair.
+	// Sample returns one (activation, weight) operand pair. It may depend
+	// on rng alone: CharacterizeAll scores every multiplier on one drawn
+	// stream, which equals characterizing each on its own only because a
+	// reseeded rng then redraws the same pairs.
 	Sample(rng *rand.Rand) (a, b uint8)
 	// Name identifies the distribution in reports.
 	Name() string
@@ -72,48 +75,73 @@ type ErrorProfile struct {
 // with chains of chainLen accumulated MACs, using n sample chains.
 // It reproduces Eq. 2 and the NM/NA definitions of the paper.
 func Characterize(m Multiplier, dist InputDist, chainLen, n int, seed uint64) ErrorProfile {
+	return CharacterizeAll([]Multiplier{m}, dist, chainLen, n, seed)[0]
+}
+
+// CharacterizeAll characterizes every multiplier in ms on one operand
+// stream: it draws the n·chainLen pairs once, then sums each model's
+// compiled LUT entries (a *LUT is used as is) over every chain. Result j
+// equals Characterize(ms[j], dist, chainLen, n, seed) bit for bit: every
+// product is an integer below 2^16, so every partial chain sum is an
+// integer below 2^53, which float64 accumulation holds exactly, and the
+// integer sums convert to the same float64 values.
+func CharacterizeAll(ms []Multiplier, dist InputDist, chainLen, n int, seed uint64) []ErrorProfile {
 	if chainLen < 1 || n < 2 {
 		panic(fmt.Sprintf("approx: invalid characterization chainLen=%d n=%d", chainLen, n))
 	}
 	rng := tensor.NewRNG(seed)
-	errs := make([]float64, n)
+	codes := make([]uint16, n*chainLen) // chain i holds codes[i*chainLen:][:chainLen], a<<8|b
 	exact := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var accApprox, accExact float64
-		for k := 0; k < chainLen; k++ {
+	for i := range exact {
+		var acc uint64
+		for k := range chainLen {
 			a, b := dist.Sample(rng)
-			accApprox += float64(m.Mul(a, b))
-			accExact += float64(uint16(a) * uint16(b))
+			codes[i*chainLen+k] = uint16(a)<<8 | uint16(b)
+			acc += uint64(a) * uint64(b)
 		}
-		errs[i] = accApprox - accExact
-		exact[i] = accExact
+		exact[i] = float64(acc)
 	}
-
-	exactT := tensor.NewFrom(exact, n)
-	r := exactT.Range()
+	r := tensor.NewFrom(exact, n).Range()
 	if r <= 0 {
 		r = 1
 	}
 
-	lo, hi := tensor.NewFrom(errs, n).MinMax()
-	if hi <= lo {
-		hi = lo + 1
-	}
-	hist := tensor.NewHistogram(lo, hi, 64)
-	hist.ObserveAll(errs)
+	out := make([]ErrorProfile, len(ms))
+	errs := make([]float64, n) // reused: nothing below retains it
+	for j, m := range ms {
+		lut, ok := m.(*LUT)
+		if !ok {
+			lut = CompileLUT(m)
+		}
+		for i := range errs {
+			var acc uint64
+			for _, c := range codes[i*chainLen : (i+1)*chainLen] {
+				acc += uint64(lut.table[uint8(c>>8)][uint8(c)])
+			}
+			errs[i] = float64(acc) - exact[i]
+		}
 
-	fit := tensor.FitGaussian(errs)
-	return ErrorProfile{
-		Component:   name(m),
-		Dist:        dist.Name(),
-		ChainLen:    chainLen,
-		Samples:     n,
-		Fit:         fit,
-		Hist:        hist,
-		OutputRange: r,
-		NM:          fit.Std / r,
-		NA:          fit.Mean / r,
+		lo, hi := tensor.NewFrom(errs, n).MinMax()
+		if hi <= lo {
+			hi = lo + 1
+		}
+		hist := tensor.NewHistogram(lo, hi, 64)
+		hist.ObserveAll(errs)
+
+		fit := tensor.FitGaussian(errs)
+		out[j] = ErrorProfile{
+			Component:   name(m),
+			Dist:        dist.Name(),
+			ChainLen:    chainLen,
+			Samples:     n,
+			Fit:         fit,
+			Hist:        hist,
+			OutputRange: r,
+			NM:          fit.Std / r,
+			NA:          fit.Mean / r,
+		}
 	}
+	return out
 }
 
 // name renders a stable identifier for a multiplier model.
@@ -136,17 +164,6 @@ func name(m Multiplier) string {
 	default:
 		return fmt.Sprintf("%T", m)
 	}
-}
-
-// CharacterizeComponent runs Characterize for a library component under
-// both the modeled (uniform) and a real input distribution, at the given
-// chain length, producing the two NM/NA columns of Table IV.
-func CharacterizeComponent(c Component, real InputDist, chainLen, n int, seed uint64) (modeled, measured ErrorProfile) {
-	modeled = Characterize(c.Model, Uniform{}, chainLen, n, seed)
-	modeled.Component = c.Name
-	measured = Characterize(c.Model, real, chainLen, n, seed+1)
-	measured.Component = c.Name
-	return modeled, measured
 }
 
 // EmpiricalDist is a convenience constructor for an Empirical input

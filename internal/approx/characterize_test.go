@@ -1,11 +1,102 @@
 package approx
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"redcane/internal/tensor"
 )
+
+// characterizeRef is the per-multiplier Monte Carlo loop that
+// CharacterizeAll replaced, kept verbatim as its bitwise reference: it
+// redraws the operand stream and calls m.Mul for every pair.
+func characterizeRef(m Multiplier, dist InputDist, chainLen, n int, seed uint64) ErrorProfile {
+	if chainLen < 1 || n < 2 {
+		panic(fmt.Sprintf("approx: invalid characterization chainLen=%d n=%d", chainLen, n))
+	}
+	rng := tensor.NewRNG(seed)
+	errs := make([]float64, n)
+	exact := make([]float64, n)
+	for i := 0; i < n; i++ {
+		var accApprox, accExact float64
+		for k := 0; k < chainLen; k++ {
+			a, b := dist.Sample(rng)
+			accApprox += float64(m.Mul(a, b))
+			accExact += float64(uint16(a) * uint16(b))
+		}
+		errs[i] = accApprox - accExact
+		exact[i] = accExact
+	}
+
+	exactT := tensor.NewFrom(exact, n)
+	r := exactT.Range()
+	if r <= 0 {
+		r = 1
+	}
+
+	lo, hi := tensor.NewFrom(errs, n).MinMax()
+	if hi <= lo {
+		hi = lo + 1
+	}
+	hist := tensor.NewHistogram(lo, hi, 64)
+	hist.ObserveAll(errs)
+
+	fit := tensor.FitGaussian(errs)
+	return ErrorProfile{
+		Component:   name(m),
+		Dist:        dist.Name(),
+		ChainLen:    chainLen,
+		Samples:     n,
+		Fit:         fit,
+		Hist:        hist,
+		OutputRange: r,
+		NM:          fit.Std / r,
+		NA:          fit.Mean / r,
+	}
+}
+
+// offsetMul is a custom multiplier with a nonzero product for a zero
+// operand and a full-scale 65,535 product at 255×255.
+type offsetMul struct{}
+
+func (offsetMul) Mul(a, b uint8) uint16 {
+	if a == 255 && b == 255 {
+		return 0xFFFF
+	}
+	return uint16(a)*uint16(b) + 37
+}
+
+func TestCharacterizeAllMatchesPerModelReference(t *testing.T) {
+	var ms []Multiplier
+	for _, c := range Library() {
+		ms = append(ms, c.Model)
+	}
+	ms = append(ms, CompileLUT(DRUM{K: 4}), offsetMul{})
+	dists := []InputDist{
+		Uniform{},
+		Empirical{Label: "skewed", A: []uint8{0, 0, 0, 1, 3, 7, 200, 255}, B: []uint8{0, 1, 2, 128, 255}},
+		// Every exact chain sums to 0: the R(X) ≤ 0 → 1 branch.
+		Empirical{Label: "zeros", A: []uint8{0}, B: []uint8{0}},
+	}
+	for _, d := range dists {
+		for _, chainLen := range []int{1, 9, 81} {
+			for _, n := range []int{2, 3000} {
+				got := CharacterizeAll(ms, d, chainLen, n, 17)
+				if len(got) != len(ms) {
+					t.Fatalf("%s chain %d n %d: %d profiles for %d models", d.Name(), chainLen, n, len(got), len(ms))
+				}
+				for j, m := range ms {
+					if want := characterizeRef(m, d, chainLen, n, 17); !reflect.DeepEqual(got[j], want) {
+						t.Errorf("%s chain %d n %d: model %d (%s) differs from the reference:\n got %+v\nwant %+v",
+							d.Name(), chainLen, n, j, name(m), got[j], want)
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestCharacterizeExactIsZeroError(t *testing.T) {
 	p := Characterize(Exact{}, Uniform{}, 9, 5000, 1)
@@ -104,18 +195,16 @@ func TestEmpiricalDistSamplesFromPools(t *testing.T) {
 	}
 }
 
-func TestCharacterizeComponentProducesBothColumns(t *testing.T) {
-	c, err := ByName("mul8u_NGR")
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestCharacterizeAllLabelsEachProfile(t *testing.T) {
 	real := Empirical{Label: "lowvals", A: []uint8{0, 1, 2, 3, 10, 20}, B: []uint8{1, 2, 3}}
-	modeled, measured := CharacterizeComponent(c, real, 9, 5000, 2)
-	if modeled.Dist != "uniform" || measured.Dist != "lowvals" {
-		t.Fatalf("dists = %q, %q", modeled.Dist, measured.Dist)
+	ps := CharacterizeAll([]Multiplier{BrokenCarry{Depth: 6, Compensate: true}, DRUM{K: 6}}, real, 9, 5000, 2)
+	for i, want := range []string{"broken6", "drum6"} {
+		if ps[i].Component != want || ps[i].Dist != "lowvals" || ps[i].ChainLen != 9 || ps[i].Samples != 5000 {
+			t.Fatalf("profile %d = %q/%q chain %d n %d", i, ps[i].Component, ps[i].Dist, ps[i].ChainLen, ps[i].Samples)
+		}
 	}
-	if modeled.Component != "mul8u_NGR" || measured.Component != "mul8u_NGR" {
-		t.Fatalf("component names = %q, %q", modeled.Component, measured.Component)
+	if len(CharacterizeAll(nil, real, 9, 5000, 2)) != 0 {
+		t.Fatal("no models must give no profiles")
 	}
 }
 

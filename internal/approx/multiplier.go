@@ -14,7 +14,10 @@
 // distribution, so this substitution preserves the analysis (DESIGN.md §2).
 package approx
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Multiplier is a behavioral 8×8→16-bit unsigned multiplier.
 // Implementations must be pure functions of their inputs.
@@ -95,41 +98,42 @@ type BrokenCarry struct {
 	Compensate bool
 }
 
-// Mul sums the surviving partial products.
+// Mul returns the exact product minus the dropped cells: bit i of a
+// loses the cells j < Depth−i of b.
 func (m BrokenCarry) Mul(a, b uint8) uint16 {
-	var p uint32
-	for i := uint(0); i < 8; i++ {
-		if a&(1<<i) == 0 {
-			continue
-		}
-		for j := uint(0); j < 8; j++ {
-			if b&(1<<j) == 0 {
-				continue
-			}
-			if i+j < m.Depth {
-				continue
-			}
-			p += 1 << (i + j)
+	p := uint32(a) * uint32(b)
+	for i := uint(0); i < min(m.Depth, 8); i++ {
+		if a&(1<<i) != 0 {
+			p -= (uint32(b) & (1<<min(m.Depth-i, 8) - 1)) << i
 		}
 	}
 	if m.Compensate && p != 0 {
-		// Each dropped cell contributes 2^(i+j) with probability 1/4;
-		// gated on a nonzero surviving product (see ProductTrunc.Mul).
-		var comp float64
-		for i := uint(0); i < 8; i++ {
-			for j := uint(0); j < 8; j++ {
-				if i+j < m.Depth {
-					comp += float64(uint32(1)<<(i+j)) / 4
-				}
-			}
-		}
-		p += uint32(comp)
+		// Gated on a nonzero surviving product (see ProductTrunc.Mul).
+		p += brokenCarryComp[min(m.Depth, 15)]
 		if p > 0xFFFF {
 			p = 0xFFFF
 		}
 	}
 	return uint16(p)
 }
+
+// brokenCarryComp[d] is BrokenCarry's compensation at Depth d: each
+// dropped cell contributes 2^(i+j) with probability 1/4. Depth 15 drops
+// every cell.
+var brokenCarryComp = func() (comp [16]uint32) {
+	for d := range comp {
+		var sum float64
+		for i := 0; i < 8; i++ {
+			for j := 0; j < 8; j++ {
+				if i+j < d {
+					sum += float64(uint32(1)<<(i+j)) / 4
+				}
+			}
+		}
+		comp[d] = uint32(sum)
+	}
+	return comp
+}()
 
 // DRUM approximates by keeping only the K most significant bits of each
 // operand starting at its leading one (with round-to-nearest on the cut),
@@ -157,7 +161,7 @@ func drumReduce(v uint32, k uint) (reduced uint32, shift uint) {
 	if v == 0 {
 		return 0, 0
 	}
-	msb := uint(31 - leadingZeros32(v))
+	msb := uint(31 - bits.LeadingZeros32(v))
 	if msb < k {
 		return v, 0
 	}
@@ -168,17 +172,6 @@ func drumReduce(v uint32, k uint) (reduced uint32, shift uint) {
 		reduced++
 	}
 	return reduced, shift
-}
-
-func leadingZeros32(v uint32) int {
-	n := 0
-	for i := 31; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 32
 }
 
 // Mitchell is Mitchell's logarithmic multiplier: approximate log2 of each
@@ -205,7 +198,7 @@ func (Mitchell) Mul(a, b uint8) uint16 {
 // mitchellLog returns an approximate log2(v) in 16.16 fixed point:
 // characteristic plus the linear-interpolated mantissa.
 func mitchellLog(v uint32) uint32 {
-	msb := uint(31 - leadingZeros32(v))
+	msb := uint(31 - bits.LeadingZeros32(v))
 	frac := (v - (1 << msb)) << (16 - msb) // mantissa scaled to 16 bits
 	return uint32(msb)<<16 | frac
 }

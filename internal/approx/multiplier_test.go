@@ -218,3 +218,140 @@ func TestAdderLibraryLookup(t *testing.T) {
 		t.Fatalf("accurate adder energy scale = %g", acc.EnergyScale)
 	}
 }
+
+// The loops the models ran before the subtractive broken array and
+// math/bits, kept verbatim as references for the exhaustive tests below.
+
+func brokenCarryMulRef(m BrokenCarry, a, b uint8) uint16 {
+	var p uint32
+	for i := uint(0); i < 8; i++ {
+		if a&(1<<i) == 0 {
+			continue
+		}
+		for j := uint(0); j < 8; j++ {
+			if b&(1<<j) == 0 {
+				continue
+			}
+			if i+j < m.Depth {
+				continue
+			}
+			p += 1 << (i + j)
+		}
+	}
+	if m.Compensate && p != 0 {
+		// Each dropped cell contributes 2^(i+j) with probability 1/4;
+		// gated on a nonzero surviving product (see ProductTrunc.Mul).
+		var comp float64
+		for i := uint(0); i < 8; i++ {
+			for j := uint(0); j < 8; j++ {
+				if i+j < m.Depth {
+					comp += float64(uint32(1)<<(i+j)) / 4
+				}
+			}
+		}
+		p += uint32(comp)
+		if p > 0xFFFF {
+			p = 0xFFFF
+		}
+	}
+	return uint16(p)
+}
+
+func leadingZeros32Ref(v uint32) int {
+	n := 0
+	for i := 31; i >= 0; i-- {
+		if v&(1<<uint(i)) != 0 {
+			return n
+		}
+		n++
+	}
+	return 32
+}
+
+func drumMulRef(m DRUM, a, b uint8) uint16 {
+	ra, sa := drumReduceRef(uint32(a), m.K)
+	rb, sb := drumReduceRef(uint32(b), m.K)
+	p := (ra * rb) << (sa + sb)
+	if p > 0xFFFF {
+		p = 0xFFFF
+	}
+	return uint16(p)
+}
+
+func drumReduceRef(v uint32, k uint) (reduced uint32, shift uint) {
+	if v == 0 {
+		return 0, 0
+	}
+	msb := uint(31 - leadingZeros32Ref(v))
+	if msb < k {
+		return v, 0
+	}
+	shift = msb - k + 1
+	reduced = v >> shift
+	// Round to nearest using the first dropped bit.
+	if v&(1<<(shift-1)) != 0 {
+		reduced++
+	}
+	return reduced, shift
+}
+
+func mitchellMulRef(a, b uint8) uint16 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	la := mitchellLogRef(uint32(a))
+	lb := mitchellLogRef(uint32(b))
+	sum := la + lb
+	p := mitchellExp(sum)
+	if p > 0xFFFF {
+		p = 0xFFFF
+	}
+	return uint16(p)
+}
+
+func mitchellLogRef(v uint32) uint32 {
+	msb := uint(31 - leadingZeros32Ref(v))
+	frac := (v - (1 << msb)) << (16 - msb) // mantissa scaled to 16 bits
+	return uint32(msb)<<16 | frac
+}
+
+// forAllOperands calls f on every (a, b) in 256².
+func forAllOperands(f func(a, b uint8)) {
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			f(uint8(a), uint8(b))
+		}
+	}
+}
+
+func TestBrokenCarryMatchesCellLoop(t *testing.T) {
+	for depth := uint(0); depth <= 16; depth++ {
+		for _, comp := range []bool{false, true} {
+			m := BrokenCarry{Depth: depth, Compensate: comp}
+			forAllOperands(func(a, b uint8) {
+				if got, want := m.Mul(a, b), brokenCarryMulRef(m, a, b); got != want {
+					t.Fatalf("%+v: %d×%d = %d, cell loop %d", m, a, b, got, want)
+				}
+			})
+		}
+	}
+}
+
+func TestDRUMMatchesLoopReference(t *testing.T) {
+	for k := uint(1); k <= 8; k++ {
+		m := DRUM{K: k}
+		forAllOperands(func(a, b uint8) {
+			if got, want := m.Mul(a, b), drumMulRef(m, a, b); got != want {
+				t.Fatalf("DRUM{K: %d}: %d×%d = %d, reference %d", k, a, b, got, want)
+			}
+		})
+	}
+}
+
+func TestMitchellMatchesLoopReference(t *testing.T) {
+	forAllOperands(func(a, b uint8) {
+		if got, want := (Mitchell{}).Mul(a, b), mitchellMulRef(a, b); got != want {
+			t.Fatalf("Mitchell: %d×%d = %d, reference %d", a, b, got, want)
+		}
+	})
+}

@@ -69,6 +69,16 @@ func Library() []Component {
 	return out
 }
 
+// Models returns the behavioral model of each component, in order: the
+// argument CharacterizeAll takes.
+func Models(cs []Component) []Multiplier {
+	ms := make([]Multiplier, len(cs))
+	for i, c := range cs {
+		ms[i] = c.Model
+	}
+	return ms
+}
+
 // ByName looks up a component by its EvoApprox8B identifier.
 func ByName(name string) (Component, error) {
 	for _, c := range components {

@@ -631,7 +631,7 @@ func median(vs []float64) float64 {
 
 // ComponentProfile pairs a library component with its measured noise
 // parameters under a representative input distribution (see
-// approx.Characterize). ChainLen records the MAC-accumulation depth the
+// approx.CharacterizeAll). ChainLen records the MAC-accumulation depth the
 // profile was measured at; 0 means depth-agnostic (legacy single-depth
 // libraries), matching any site.
 type ComponentProfile struct {
@@ -646,26 +646,24 @@ type ComponentProfile struct {
 // and wide conv layers.
 var LibraryChainLens = []int{9, 81}
 
-// ProfileLibrary characterizes every library component under the given
-// distribution at the given MAC-chain length, ready for SelectComponents.
-func ProfileLibrary(dist approx.InputDist, chainLen, samples int, seed uint64) []ComponentProfile {
-	lib := approx.Library()
-	out := make([]ComponentProfile, 0, len(lib))
-	for _, c := range lib {
-		p := approx.Characterize(c.Model, dist, chainLen, samples, seed)
-		out = append(out, ComponentProfile{Component: c, NM: p.NM, NA: p.NA, ChainLen: chainLen})
-	}
-	return out
-}
-
-// ProfileLibraryDepths characterizes the library at every given chain
-// length, so SelectComponents can match each site against the profile
-// measured at the depth closest to the site's real accumulation depth
-// (caps.Network.MACDepths) instead of a single hardcoded chain.
+// ProfileLibraryDepths characterizes every library component under the
+// given distribution at every given chain length, ready for
+// SelectComponents, which matches each site against the profile measured
+// at the depth closest to the site's real accumulation depth
+// (caps.Network.MACDepths). Each component's LUT is compiled once, and
+// each chain length scores the whole library on one operand stream
+// (approx.CharacterizeAll).
 func ProfileLibraryDepths(dist approx.InputDist, chainLens []int, samples int, seed uint64) []ComponentProfile {
+	lib := approx.Library()
+	luts := approx.Models(lib)
+	for i, m := range luts {
+		luts[i] = approx.CompileLUT(m)
+	}
 	var out []ComponentProfile
 	for _, cl := range chainLens {
-		out = append(out, ProfileLibrary(dist, cl, samples, seed)...)
+		for i, p := range approx.CharacterizeAll(luts, dist, cl, samples, seed) {
+			out = append(out, ComponentProfile{Component: lib[i], NM: p.NM, NA: p.NA, ChainLen: cl})
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestMedian(t *testing.T) {
 }
 
 func TestProfileLibraryCoversAllComponents(t *testing.T) {
-	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	if len(profiles) != len(approx.Library()) {
 		t.Fatalf("profiles = %d", len(profiles))
 	}
@@ -174,9 +175,25 @@ func TestProfileLibraryCoversAllComponents(t *testing.T) {
 	}
 }
 
+func TestProfileLibraryDepthsMatchesPerComponentLoop(t *testing.T) {
+	// The nested loop ProfileLibraryDepths replaced: one Characterize per
+	// component per chain length, each on its own redrawn stream.
+	dist := approx.Empirical{Label: "pool", A: []uint8{0, 0, 1, 5, 9, 60, 255}, B: []uint8{3, 7, 128, 200}}
+	var want []ComponentProfile
+	for _, cl := range LibraryChainLens {
+		for _, c := range approx.Library() {
+			p := approx.Characterize(c.Model, dist, cl, 500, 9)
+			want = append(want, ComponentProfile{Component: c, NM: p.NM, NA: p.NA, ChainLen: cl})
+		}
+	}
+	if got := ProfileLibraryDepths(dist, LibraryChainLens, 500, 9); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ProfileLibraryDepths differs from the per-component loop:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestFullRunReportShape(t *testing.T) {
 	a := sharedAnalyzer(t)
-	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	r := a.Run(profiles)
 
 	if r.CleanAccuracy < 0.8 {
@@ -217,7 +234,7 @@ func TestFullRunReportShape(t *testing.T) {
 
 func TestResilientGroupsGetAggressiveComponents(t *testing.T) {
 	a := sharedAnalyzer(t)
-	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	r := a.Run(profiles)
 
 	power := map[noise.Group]float64{}

@@ -13,7 +13,7 @@ import (
 func TestRefineMeetsTargetByUpgrading(t *testing.T) {
 	a := sharedAnalyzer(t)
 	clean := a.CleanAccuracy()
-	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 
 	// Deliberately bad starting design: the crudest component everywhere.
 	sorted := append([]ComponentProfile(nil), profiles...)
@@ -57,7 +57,7 @@ func TestRefineMeetsTargetByUpgrading(t *testing.T) {
 func TestRefineNoopWhenAlreadyGood(t *testing.T) {
 	a := sharedAnalyzer(t)
 	clean := a.CleanAccuracy()
-	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	// All-exact design: already meets any target.
 	exact := profiles[0]
 	var choices []Choice
@@ -77,7 +77,7 @@ func TestRefineNoopWhenAlreadyGood(t *testing.T) {
 
 func TestRefineGivesUpAtExact(t *testing.T) {
 	a := sharedAnalyzer(t)
-	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	exact := profiles[0]
 	var choices []Choice
 	for _, g := range noise.Groups() {
@@ -98,7 +98,7 @@ func TestRefineGivesUpAtExact(t *testing.T) {
 
 func TestReportJSONExport(t *testing.T) {
 	a := sharedAnalyzer(t)
-	profiles := ProfileLibrary(approx.Uniform{}, 9, 2000, 3)
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	r := a.Run(profiles)
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {

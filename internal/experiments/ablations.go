@@ -157,12 +157,24 @@ func (r *Runner) AblationNoiseVsLUT() (*NoiseVsLUTResult, error) {
 
 	convLayers := []string{"Conv2D", "Primary"}
 	depths := t.Net.MACDepths()
-	out := &NoiseVsLUTResult{Benchmark: t.Benchmark, Clean: clean}
-	for _, name := range []string{"mul8u_NGR", "mul8u_DM1", "mul8u_JV3", "mul8u_QKX"} {
-		c, err := approx.ByName(name)
-		if err != nil {
-			return nil, err
+	comps, err := componentsByName("mul8u_NGR", "mul8u_DM1", "mul8u_JV3", "mul8u_QKX")
+	if err != nil {
+		return nil, err
+	}
+	// Noise-model profiles, one per component, characterized at each
+	// conv layer's own accumulation depth (Fig. 6: the error profile
+	// shifts with chain length).
+	profByLen := map[int][]approx.ErrorProfile{}
+	layerProfs := map[string][]approx.ErrorProfile{}
+	for _, l := range convLayers {
+		cl := core.PickChainLen(core.LibraryChainLens, depths[l])
+		if profByLen[cl] == nil {
+			profByLen[cl] = approx.CharacterizeAll(approx.Models(comps), dist, cl, 20000, r.Cfg.Seed+41)
 		}
+		layerProfs[l] = profByLen[cl]
+	}
+	out := &NoiseVsLUTResult{Benchmark: t.Benchmark, Clean: clean}
+	for j, c := range comps {
 		mults := map[string]approx.Multiplier{}
 		for _, l := range convLayers {
 			mults[l] = c.Model
@@ -178,18 +190,10 @@ func (r *Runner) AblationNoiseVsLUT() (*NoiseVsLUTResult, error) {
 			return nil, err
 		}
 
-		// Noise-model prediction: per-site NM/NA characterized at each
-		// layer's own accumulation depth (Fig. 6: the error profile
-		// shifts with chain length).
-		profByLen := map[int]approx.ErrorProfile{}
+		// Noise-model prediction: per-site NM/NA at each layer's depth.
 		params := map[noise.Site]noise.Params{}
 		for _, l := range convLayers {
-			cl := core.PickChainLen(core.LibraryChainLens, depths[l])
-			prof, ok := profByLen[cl]
-			if !ok {
-				prof = approx.Characterize(c.Model, dist, cl, 20000, r.Cfg.Seed+41)
-				profByLen[cl] = prof
-			}
+			prof := layerProfs[l][j]
 			params[noise.Site{Layer: l, Group: noise.MACOutputs}] = noise.Params{NM: prof.NM, NA: prof.NA}
 		}
 		modelAcc, err := a.Evaluate(r.ctx(), nil, noise.NewPerSite(params, r.Cfg.Seed+42), "")

@@ -24,19 +24,38 @@ func (r *Runner) Fig6() (*Fig6Result, error) {
 	if r.Cfg.Quick {
 		samples = 10000
 	}
+	comps, err := componentsByName("mul8u_NGR", "mul8u_DM1")
+	if err != nil {
+		return nil, err
+	}
+	models := approx.Models(comps)
+	chains := []int{1, 9, 81}
+	byChain := make([][]approx.ErrorProfile, len(chains))
+	for k, chain := range chains {
+		byChain[k] = approx.CharacterizeAll(models, approx.Uniform{}, chain, samples, r.Cfg.Seed+3)
+	}
 	var out Fig6Result
-	for _, name := range []string{"mul8u_NGR", "mul8u_DM1"} {
-		c, err := approx.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, chain := range []int{1, 9, 81} {
-			p := approx.Characterize(c.Model, approx.Uniform{}, chain, samples, r.Cfg.Seed+3)
+	for j, c := range comps {
+		for k := range chains {
+			p := byChain[k][j]
 			p.Component = c.Name
 			out.Profiles = append(out.Profiles, p)
 		}
 	}
 	return &out, nil
+}
+
+// componentsByName looks up library components by name.
+func componentsByName(names ...string) ([]approx.Component, error) {
+	comps := make([]approx.Component, len(names))
+	for i, name := range names {
+		c, err := approx.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		comps[i] = c
+	}
+	return comps, nil
 }
 
 // Render formats the Gaussian fits and one histogram per component.
@@ -220,15 +239,18 @@ func (r *Runner) Table4() (*Table4Result, error) {
 	if r.Cfg.Quick {
 		samples = 8000
 	}
+	lib := approx.Library()
+	models := approx.Models(lib)
+	modeled := approx.CharacterizeAll(models, approx.Uniform{}, 9, samples, r.Cfg.Seed+5)
+	measured := approx.CharacterizeAll(models, real, 9, samples, r.Cfg.Seed+6)
 	var out Table4Result
-	for _, c := range approx.Library() {
-		modeled, measured := approx.CharacterizeComponent(c, real, 9, samples, r.Cfg.Seed+5)
+	for i, c := range lib {
 		out.Rows = append(out.Rows, Table4Row{
 			Name:    c.Name,
 			PowerUW: c.PowerUW, AreaUM2: c.AreaUM2,
 			PowerRed:  c.PowerReduction(),
-			ModeledNA: modeled.NA, ModeledNM: modeled.NM,
-			RealNA: measured.NA, RealNM: measured.NM,
+			ModeledNA: modeled[i].NA, ModeledNM: modeled[i].NM,
+			RealNA: measured[i].NA, RealNM: measured[i].NM,
 			PaperModeledNM: c.PaperNM, PaperModeledNA: c.PaperNA,
 		})
 	}

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -373,5 +376,56 @@ func TestFleetWorkerSeriesCapAndSanitization(t *testing.T) {
 	// The fleet-wide window timer saw every completion, capped or not.
 	if ws, ok := snap.Timers["fleet.window"]; !ok || ws.Count != int64(nWorkers) {
 		t.Fatalf("fleet.window count = %+v, want %d observations", ws, nWorkers)
+	}
+}
+
+// ---- Worker exit ----
+
+// TestWorkerExitClosesLateDialedConnection: a lease request cancelled
+// mid-dial still completes its dial, after Run has returned. That
+// connection must not stay parked in the worker's idle pool, where the
+// coordinator's http.Server.Shutdown would wait 5 s for it.
+func TestWorkerExitClosesLateDialedConnection(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	dialing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	wk := &Worker{Base: ts.URL, Name: "w1", Poll: time.Hour, Client: &http.Client{
+		Transport: &http.Transport{
+			DialContext: func(_ context.Context, network, addr string) (net.Conn, error) {
+				once.Do(func() { close(dialing) })
+				<-release
+				return (&net.Dialer{}).DialContext(context.Background(), network, addr)
+			},
+		},
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- wk.Run(ctx) }()
+	<-dialing
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	close(release)
+	<-arrived
+
+	sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer scancel()
+	if err := ts.Config.Shutdown(sctx); err != nil {
+		t.Fatalf("coordinator Shutdown: %v; the late-dialed connection stayed pooled", err)
 	}
 }

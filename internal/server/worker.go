@@ -61,6 +61,11 @@ func (wk *Worker) Run(ctx context.Context) error {
 	if wk.Client == nil {
 		wk.Client = &http.Client{Timeout: 30 * time.Second}
 	}
+	// A request cancelled mid-dial still finishes its dial and parks the
+	// connection in the transport's idle pool, where the coordinator's
+	// http.Server.Shutdown waits 5 s for it. Closing idle connections on
+	// the way out also closes the ones that arrive later.
+	defer wk.Client.CloseIdleConnections()
 	if wk.bad == nil {
 		wk.bad = map[string]bool{}
 	}

@@ -9,7 +9,7 @@
 set -eu
 
 out=${1:-BENCH_1.json}
-pattern='^(BenchmarkLayerSweepClassCaps|BenchmarkLayerSweepClassCapsNaive|BenchmarkGroupSweepEngine|BenchmarkGroupSweepNaive|BenchmarkMethodologyGroupSweepSmall|BenchmarkInferenceDeepCaps|BenchmarkInferenceApproxSoftmax|BenchmarkConv2DKernel|BenchmarkQuantConv2DExact|BenchmarkQuantConv2DLUT|BenchmarkQuantCapsVotes|BenchmarkCompileLUT)$'
+pattern='^(BenchmarkLayerSweepClassCaps|BenchmarkLayerSweepClassCapsNaive|BenchmarkGroupSweepEngine|BenchmarkGroupSweepNaive|BenchmarkMethodologyGroupSweepSmall|BenchmarkInferenceDeepCaps|BenchmarkInferenceApproxSoftmax|BenchmarkConv2DKernel|BenchmarkQuantConv2DExact|BenchmarkQuantConv2DLUT|BenchmarkQuantCapsVotes|BenchmarkCompileLUT|BenchmarkProfileLibraryDepths)$'
 
 raw=$(go test -run '^$' -bench "$pattern" -benchtime=10x .)
 echo "$raw"
