@@ -285,7 +285,7 @@ func BenchmarkQuantConv2DExact(b *testing.B) {
 	s := tensor.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Release(be.Conv2D("L", x, w, bias, 1, 1, s))
+		s.Release(be.Conv2D("L", x, w, bias, 1, 1, s, nil))
 	}
 }
 
@@ -314,7 +314,7 @@ func BenchmarkQuantConv2DLUT(b *testing.B) {
 	s := tensor.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Release(be.Conv2D("L", x, w, bias, 1, 1, s))
+		s.Release(be.Conv2D("L", x, w, bias, 1, 1, s, nil))
 	}
 }
 
@@ -328,7 +328,7 @@ func BenchmarkQuantCapsVotes(b *testing.B) {
 	s := tensor.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Release(be.CapsVotes("L", u, w, s))
+		s.Release(be.CapsVotes("L", u, w, s, nil))
 	}
 }
 

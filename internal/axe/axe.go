@@ -337,15 +337,3 @@ func gatherCodeRow(dst []uint16, xq []uint16, b, oy, ox, h, wd int, spec tensor.
 		}
 	}
 }
-
-// QuantConv2D convolves with b-bit quantized operands and the given
-// approximate multiplier for every partial product. It is the standalone
-// kernel entry point (it compiles the multiplier's LUT on every call;
-// the backends compile once and reuse operand buffers); multiplier LUTs
-// are 8-bit, so bits must be ≤ 8.
-func QuantConv2D(x, w, bias *tensor.Tensor, stride, pad int, mult approx.Multiplier, bits uint) *tensor.Tensor {
-	if bits > 8 {
-		panic(fmt.Sprintf("axe: multiplier LUTs are 8-bit, got %d", bits))
-	}
-	return quantConv2D(approx.CompileLUT(mult), x, w, bias, stride, pad, bits, nil, nil)
-}

@@ -15,6 +15,12 @@ func randT(seed uint64, shape ...int) *tensor.Tensor {
 	return tensor.New(shape...).FillNormal(tensor.NewRNG(seed), 0, 0.5)
 }
 
+// lutConv2D runs the 8-bit quantized convolution with every partial
+// product taken from mult's compiled LUT.
+func lutConv2D(x, w, bias *tensor.Tensor, stride, pad int, mult approx.Multiplier) *tensor.Tensor {
+	return quantConv2D(approx.CompileLUT(mult), x, w, bias, stride, pad, 8, nil, nil)
+}
+
 func TestQuantConv2DWithExactMultiplierApproximatesFloatConv(t *testing.T) {
 	// With the exact multiplier, the only error is 8-bit quantization —
 	// outputs must track the float convolution closely.
@@ -22,7 +28,7 @@ func TestQuantConv2DWithExactMultiplierApproximatesFloatConv(t *testing.T) {
 	w := randT(2, 4, 3, 3, 3)
 	b := randT(3, 4)
 	ref := tensor.Conv2D(x, w, b, 1, 1)
-	got := QuantConv2D(x, w, b, 1, 1, approx.Exact{}, 8)
+	got := lutConv2D(x, w, b, 1, 1, approx.Exact{})
 	if !got.SameShape(ref) {
 		t.Fatalf("shape %v vs %v", got.Shape, ref.Shape)
 	}
@@ -38,7 +44,7 @@ func TestQuantConv2DStride2WithPadding(t *testing.T) {
 	x := randT(4, 1, 2, 7, 7)
 	w := randT(5, 3, 2, 3, 3)
 	ref := tensor.Conv2D(x, w, nil, 2, 1)
-	got := QuantConv2D(x, w, nil, 2, 1, approx.Exact{}, 8)
+	got := lutConv2D(x, w, nil, 2, 1, approx.Exact{})
 	refRange := ref.Range()
 	for i := range ref.Data {
 		if math.Abs(got.Data[i]-ref.Data[i]) > 0.05*refRange {
@@ -51,8 +57,8 @@ func TestQuantConv2DApproxWorseThanExact(t *testing.T) {
 	x := randT(6, 2, 2, 6, 6)
 	w := randT(7, 3, 2, 3, 3)
 	ref := tensor.Conv2D(x, w, nil, 1, 0)
-	exact := QuantConv2D(x, w, nil, 1, 0, approx.Exact{}, 8)
-	crude := QuantConv2D(x, w, nil, 1, 0, approx.OperandTrunc{ABits: 6, BBits: 6, Compensate: true}, 8)
+	exact := lutConv2D(x, w, nil, 1, 0, approx.Exact{})
+	crude := lutConv2D(x, w, nil, 1, 0, approx.OperandTrunc{ABits: 6, BBits: 6, Compensate: true})
 	errOf := func(y *tensor.Tensor) float64 {
 		s := 0.0
 		for i := range ref.Data {
@@ -63,15 +69,6 @@ func TestQuantConv2DApproxWorseThanExact(t *testing.T) {
 	if errOf(crude) <= errOf(exact) {
 		t.Fatalf("crude multiplier not worse: %g vs %g", errOf(crude), errOf(exact))
 	}
-}
-
-func TestQuantConv2DRejectsWideWordlength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for >8-bit request")
-		}
-	}()
-	QuantConv2D(randT(8, 1, 1, 4, 4), randT(9, 1, 1, 3, 3), nil, 1, 0, approx.Exact{}, 12)
 }
 
 func buildTinyNet(seed uint64) *caps.Network {
@@ -178,8 +175,8 @@ func TestQuantApproxExactAssignmentsMatchQuantExactBitwise(t *testing.T) {
 	if be.ApproxLayer("Caps2D1") || be.ApproxLayer("ClassCaps") {
 		t.Fatal("exact/nil assignments must not mark layers approximate")
 	}
-	if be.BaseID() != (QuantExact{Bits: 8}).BaseID() {
-		t.Fatalf("BaseID %q != %q", be.BaseID(), (QuantExact{Bits: 8}).BaseID())
+	if be.ExactBaseline() != caps.Backend(QuantExact{Bits: 8}) {
+		t.Fatalf("ExactBaseline %q != %q", be.ExactBaseline().Name(), (QuantExact{Bits: 8}).Name())
 	}
 	ref := net.ForwardExec(x, noise.None{}, QuantExact{Bits: 8})
 	got := net.ForwardExec(x, noise.None{}, be)
@@ -193,7 +190,7 @@ func TestQuantApproxExactAssignmentsMatchQuantExactBitwise(t *testing.T) {
 func TestQuantApproxSharedPrefixBitIdenticalToQuantExact(t *testing.T) {
 	// Layers before the first approximate site run the exact quantized
 	// path — the invariant the sweep engine's prefix cache relies on
-	// (equal BaseID => bit-identical prefix).
+	// (equal exact baseline => bit-identical prefix).
 	net := buildRoutingNet(14)
 	x := randT(15, 3, 1, 6, 6)
 	be, err := NewQuantApprox(8, map[string]approx.Multiplier{
@@ -210,7 +207,7 @@ func TestQuantApproxSharedPrefixBitIdenticalToQuantExact(t *testing.T) {
 	got := net.ForwardToExec(frontier, x, noise.None{}, be)
 	for i := range ref.Data {
 		if ref.Data[i] != got.Data[i] {
-			t.Fatal("exact prefix must be bit-identical across same-BaseID backends")
+			t.Fatal("exact prefix must be bit-identical across backends sharing a baseline")
 		}
 	}
 }
@@ -273,11 +270,11 @@ func TestNewQuantApproxDedupesLUTCompilation(t *testing.T) {
 }
 
 func TestBackendNames(t *testing.T) {
-	if got := (QuantExact{}).BaseID(); got != "quant8" {
-		t.Fatalf("zero-value QuantExact BaseID = %q, want quant8 (DefaultBits)", got)
+	if got := (QuantExact{}).ExactBaseline().Name(); got != "quant-exact-8" {
+		t.Fatalf("zero-value QuantExact baseline = %q, want quant-exact-8 (DefaultBits)", got)
 	}
-	if got := (caps.Float{}).BaseID(); got != "float" {
-		t.Fatalf("Float BaseID = %q", got)
+	if got := (caps.Float{}).ExactBaseline().Name(); got != "float" {
+		t.Fatalf("Float baseline = %q", got)
 	}
 	be, err := NewQuantApprox(8, map[string]approx.Multiplier{"Conv1": approx.DRUM{K: 6}})
 	if err != nil {

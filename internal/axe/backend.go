@@ -31,41 +31,36 @@ type QuantExact struct {
 // Name implements caps.Backend.
 func (b QuantExact) Name() string { return fmt.Sprintf("quant-exact-%d", effBits(b.Bits)) }
 
-// BaseID implements caps.Backend: all b-bit quantized backends share one
-// exact baseline.
-func (b QuantExact) BaseID() string { return fmt.Sprintf("quant%d", effBits(b.Bits)) }
+// ExactBaseline implements caps.Backend: the exact path is its own
+// baseline, so probing it yields ranges, moments and overflow only, and
+// every b-bit quantized backend shares its clean prefixes.
+func (b QuantExact) ExactBaseline() caps.Backend { return b }
 
 // ApproxLayer implements caps.Backend: the exact path is the baseline.
 func (QuantExact) ApproxLayer(string) bool { return false }
 
+// Nonlinearity implements caps.Backend: the exact pair.
+func (QuantExact) Nonlinearity() caps.Nonlinearity { return caps.Nonlinearity{} }
+
 // Conv2D implements caps.Backend.
-func (b QuantExact) Conv2D(_ string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	return quantConv2D(nil, x, w, bias, stride, pad, effBits(b.Bits), s, nil)
+func (b QuantExact) Conv2D(_ string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
+	return quantConv2D(nil, x, w, bias, stride, pad, effBits(b.Bits), s, ovf)
 }
 
 // CapsVotes implements caps.Backend.
-func (b QuantExact) CapsVotes(_ string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return quantCapsVotes(nil, u, w, effBits(b.Bits), s, nil)
-}
-
-// ExactBaseline implements caps.Baseliner: the exact path is its own
-// baseline, so probing it yields ranges, moments and overflow only.
-func (b QuantExact) ExactBaseline() caps.Backend { return b }
-
-// WithOverflow implements caps.OverflowBackend.
-func (b QuantExact) WithOverflow(report func(layer string, n int64)) caps.Backend {
-	return overflowBackend{Backend: b, bits: effBits(b.Bits), report: report}
+func (b QuantExact) CapsVotes(_ string, u, w *tensor.Tensor, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
+	return quantCapsVotes(nil, u, w, effBits(b.Bits), s, ovf)
 }
 
 // QuantApprox is the approximate-execution backend: b-bit quantized MACs
 // where the layers named in the assignment map multiply through a
 // behavioral approximate-multiplier LUT, and every other layer runs the
 // exact quantized path. An empty assignment map makes it bit-identical
-// to QuantExact at the same wordlength.
+// to QuantExact at the same wordlength. It embeds that QuantExact, its
+// exact baseline, and declares only what the LUTs change.
 type QuantApprox struct {
-	bits  uint
-	luts  map[string]*approx.LUT
-	mults map[string]approx.Multiplier
+	QuantExact
+	luts map[string]*approx.LUT
 }
 
 // NewQuantApprox compiles an approximate backend from per-layer
@@ -76,11 +71,7 @@ type QuantApprox struct {
 // to QuantExact. LUTs are 8-bit, so a non-exact assignment with bits > 8
 // is an error.
 func NewQuantApprox(bits uint, mults map[string]approx.Multiplier) (*QuantApprox, error) {
-	be := &QuantApprox{
-		bits:  effBits(bits),
-		luts:  map[string]*approx.LUT{},
-		mults: map[string]approx.Multiplier{},
-	}
+	be := &QuantApprox{QuantExact: QuantExact{Bits: effBits(bits)}, luts: map[string]*approx.LUT{}}
 	compiled := map[approx.Multiplier]*approx.LUT{}
 	for layer, m := range mults {
 		if m == nil {
@@ -89,8 +80,8 @@ func NewQuantApprox(bits uint, mults map[string]approx.Multiplier) (*QuantApprox
 		if _, exact := m.(approx.Exact); exact {
 			continue
 		}
-		if be.bits > 8 {
-			return nil, fmt.Errorf("axe: multiplier LUTs are 8-bit, cannot run layer %q approximately at %d bits", layer, be.bits)
+		if be.Bits > 8 {
+			return nil, fmt.Errorf("axe: multiplier LUTs are 8-bit, cannot run layer %q approximately at %d bits", layer, be.Bits)
 		}
 		lut, ok := compiled[m]
 		if !ok {
@@ -98,7 +89,6 @@ func NewQuantApprox(bits uint, mults map[string]approx.Multiplier) (*QuantApprox
 			compiled[m] = lut
 		}
 		be.luts[layer] = lut
-		be.mults[layer] = m
 	}
 	return be, nil
 }
@@ -111,12 +101,8 @@ func (b *QuantApprox) Name() string {
 		layers = append(layers, l)
 	}
 	sort.Strings(layers)
-	return fmt.Sprintf("quant-approx-%d%v", b.bits, layers)
+	return fmt.Sprintf("quant-approx-%d%v", b.Bits, layers)
 }
-
-// BaseID implements caps.Backend: the exact baseline is QuantExact at
-// the same wordlength, so their clean prefixes are interchangeable.
-func (b *QuantApprox) BaseID() string { return fmt.Sprintf("quant%d", b.bits) }
 
 // ApproxLayer implements caps.Backend.
 func (b *QuantApprox) ApproxLayer(layer string) bool {
@@ -125,58 +111,16 @@ func (b *QuantApprox) ApproxLayer(layer string) bool {
 }
 
 // Conv2D implements caps.Backend; a layer without a LUT runs exact.
-func (b *QuantApprox) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	return quantConv2D(b.luts[layer], x, w, bias, stride, pad, b.bits, s, nil)
+func (b *QuantApprox) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
+	return quantConv2D(b.luts[layer], x, w, bias, stride, pad, b.Bits, s, ovf)
 }
 
 // CapsVotes implements caps.Backend; a layer without a LUT runs exact.
-func (b *QuantApprox) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return quantCapsVotes(b.luts[layer], u, w, b.bits, s, nil)
-}
-
-// ExactBaseline implements caps.Baseliner: QuantExact at the same
-// wordlength — the clean signal the probes compute SQNR against.
-func (b *QuantApprox) ExactBaseline() caps.Backend { return QuantExact{Bits: b.bits} }
-
-// WithOverflow implements caps.OverflowBackend.
-func (b *QuantApprox) WithOverflow(report func(layer string, n int64)) caps.Backend {
-	return overflowBackend{Backend: b, bits: b.bits, luts: b.luts, report: report}
-}
-
-// overflowBackend is a quantized backend with per-call
-// accumulator-overflow reporting; outputs are bit-identical to the
-// wrapped backend's.
-type overflowBackend struct {
-	caps.Backend
-	bits   uint
-	luts   map[string]*approx.LUT // nil for QuantExact
-	report func(layer string, n int64)
-}
-
-func (b overflowBackend) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	var n int64
-	out := quantConv2D(b.luts[layer], x, w, bias, stride, pad, b.bits, s, &n)
-	if n > 0 {
-		b.report(layer, n)
-	}
-	return out
-}
-
-func (b overflowBackend) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	var n int64
-	out := quantCapsVotes(b.luts[layer], u, w, b.bits, s, &n)
-	if n > 0 {
-		b.report(layer, n)
-	}
-	return out
+func (b *QuantApprox) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
+	return quantCapsVotes(b.luts[layer], u, w, b.Bits, s, ovf)
 }
 
 var (
-	_ caps.Backend         = QuantExact{}
-	_ caps.Backend         = (*QuantApprox)(nil)
-	_ caps.OverflowBackend = QuantExact{}
-	_ caps.OverflowBackend = (*QuantApprox)(nil)
-	_ caps.Baseliner       = QuantExact{}
-	_ caps.Baseliner       = (*QuantApprox)(nil)
-	_ caps.Backend         = overflowBackend{}
+	_ caps.Backend = QuantExact{}
+	_ caps.Backend = (*QuantApprox)(nil)
 )

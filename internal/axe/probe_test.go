@@ -12,8 +12,8 @@ import (
 
 func TestProbeBackendInert(t *testing.T) {
 	// The probe decorator must pass the wrapped backend's outputs through
-	// bit-for-bit — including the overflow-counting variants of the
-	// quantized backends — while still accumulating stats.
+	// bit-for-bit — including when it makes the quantized kernels count
+	// overflows — while still accumulating stats.
 	net := buildRoutingNet(31)
 	x := randT(32, 3, 1, 6, 6)
 	for _, be := range []caps.Backend{caps.Float{}, QuantExact{Bits: 8}} {
@@ -53,11 +53,7 @@ func TestProbeRecorderSQNRAgainstReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, ok := caps.Backend(be).(caps.Baseliner)
-	if !ok {
-		t.Fatal("QuantApprox must implement Baseliner")
-	}
-	refBe := bl.ExactBaseline()
+	refBe := be.ExactBaseline()
 	if refBe.Name() != (QuantExact{Bits: 8}).Name() {
 		t.Fatalf("baseline = %s", refBe.Name())
 	}
@@ -116,21 +112,34 @@ func TestProbeOverflowCounting(t *testing.T) {
 	}
 	w.Data[0] = 0
 	be := QuantExact{Bits: 2}
-	ref := be.Conv2D("conv", x, w, nil, 1, 0, nil)
-	rec := caps.NewProbeRecorder()
-	pb := caps.NewProbeBackend(be, rec)
-	got := pb.Conv2D("conv", x, w, nil, 1, 0, nil)
-	for i := range ref.Data {
-		if ref.Data[i] != got.Data[i] {
-			t.Fatal("overflow counting changed the outputs")
+	// The nonlinearity decorator embeds the backend it wraps, kernels
+	// included, so probing it counts the same overflows as probing the
+	// backend directly; the probe also adds them to a caller's tally.
+	nl := caps.Nonlinearity{SoftmaxName: "x", SoftmaxFn: tensor.Softmax}
+	var want int64
+	for _, inner := range []caps.Backend{be, caps.WithNonlinearity(be, nl)} {
+		ref := inner.Conv2D("conv", x, w, nil, 1, 0, nil, nil)
+		rec := caps.NewProbeRecorder()
+		var tally int64
+		got := caps.NewProbeBackend(inner, rec).Conv2D("conv", x, w, nil, 1, 0, nil, &tally)
+		for i := range ref.Data {
+			if ref.Data[i] != got.Data[i] {
+				t.Fatalf("%s: overflow counting changed the outputs", inner.Name())
+			}
 		}
-	}
-	layers := rec.Layers()
-	if len(layers) != 1 || layers[0].Overflow == 0 {
-		t.Fatalf("overflow not counted: %+v", layers)
-	}
-	if layers[0].Overflow > layers[0].Count {
-		t.Fatalf("overflow %d exceeds element count %d", layers[0].Overflow, layers[0].Count)
+		layers := rec.Layers()
+		if len(layers) != 1 || layers[0].Overflow == 0 {
+			t.Fatalf("%s: overflow not counted: %+v", inner.Name(), layers)
+		}
+		if layers[0].Overflow > layers[0].Count {
+			t.Fatalf("%s: overflow %d exceeds element count %d", inner.Name(), layers[0].Overflow, layers[0].Count)
+		}
+		if want == 0 {
+			want = layers[0].Overflow
+		}
+		if layers[0].Overflow != want || tally != want {
+			t.Fatalf("%s: counted %d overflows (caller tally %d), want %d", inner.Name(), layers[0].Overflow, tally, want)
+		}
 	}
 
 	// The model grants 8 bits (256×) of headroom over a full-scale
@@ -139,7 +148,7 @@ func TestProbeOverflowCounting(t *testing.T) {
 	xs := tensor.NewFrom(x.Data[:16*25], 1, 16, 5, 5)
 	ws := tensor.NewFrom(w.Data[:4*16*9], 4, 16, 3, 3)
 	recS := caps.NewProbeRecorder()
-	caps.NewProbeBackend(be, recS).Conv2D("conv", xs, ws, nil, 1, 0, nil)
+	caps.NewProbeBackend(be, recS).Conv2D("conv", xs, ws, nil, 1, 0, nil, nil)
 	if recS.Layers()[0].Overflow != 0 {
 		t.Fatalf("shallow conv reported overflow: %+v", recS.Layers()[0])
 	}

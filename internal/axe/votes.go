@@ -1,8 +1,6 @@
 package axe
 
 import (
-	"fmt"
-
 	"redcane/internal/approx"
 	"redcane/internal/tensor"
 )
@@ -81,16 +79,4 @@ func quantCapsVotes(lut *approx.LUT, u, w *tensor.Tensor, bits uint, s *tensor.S
 	}
 	s.ReleaseU16(uc, wc)
 	return votes
-}
-
-// QuantClassCapsVotes computes the fully-connected capsule votes with
-// quantized operands and the given approximate multiplier. It is the
-// standalone kernel entry point (it compiles the multiplier's LUT on
-// every call; the backends compile once and reuse operand buffers);
-// multiplier LUTs are 8-bit, so bits must be ≤ 8.
-func QuantClassCapsVotes(u, w *tensor.Tensor, mult approx.Multiplier, bits uint) *tensor.Tensor {
-	if bits > 8 {
-		panic(fmt.Sprintf("axe: multiplier LUTs are 8-bit, got %d", bits))
-	}
-	return quantCapsVotes(approx.CompileLUT(mult), u, w, bits, nil, nil)
 }

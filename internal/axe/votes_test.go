@@ -10,10 +10,10 @@ import (
 	"redcane/internal/tensor"
 )
 
-func TestQuantClassCapsVotesMatchesFloatWithExactMultiplier(t *testing.T) {
+func TestQuantCapsVotesMatchesFloatWithExactMultiplier(t *testing.T) {
 	u := randT(20, 2, 6, 4)
 	w := tensor.New(6, 3, 8, 4).FillGlorot(tensor.NewRNG(21), 4, 8)
-	got := QuantClassCapsVotes(u, w, approx.Exact{}, 8)
+	got := quantCapsVotes(approx.CompileLUT(approx.Exact{}), u, w, 8, nil, nil)
 
 	// Float reference via the inference layer's own vote computation:
 	// run ClassCaps with identity routing (1 iteration) is not directly
@@ -105,29 +105,5 @@ func TestBackendApproximatesConvCaps3D(t *testing.T) {
 		if math.Abs(out.Data[i]-ref.Data[i]) > 0.15*r {
 			t.Fatalf("caps3d backend too far at %d: %g vs %g", i, out.Data[i], ref.Data[i])
 		}
-	}
-}
-
-func TestDynamicRoutingExportedMatchesLayer(t *testing.T) {
-	votes := randT(50, 1, 3, 2, 4, 1)
-	a := caps.DynamicRouting(votes.Clone(), "L", 3, nil)
-	b := caps.DynamicRouting(votes.Clone(), "L", 3, noise.None{})
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("nil injector must behave as None")
-		}
-	}
-}
-
-func TestFlattenCapsExportedRoundTrip(t *testing.T) {
-	x := randT(51, 2, 8, 3, 3)
-	flat := caps.FlattenCaps(x, 2*3*3, 4)
-	if flat.Shape[1] != 18 || flat.Shape[2] != 4 {
-		t.Fatalf("flatten shape = %v", flat.Shape)
-	}
-	// Rank-3 passthrough.
-	again := caps.FlattenCaps(flat, 18, 4)
-	if &again.Data[0] != &flat.Data[0] {
-		t.Fatal("rank-3 input must pass through")
 	}
 }

@@ -173,6 +173,19 @@ func TestClassCapsAcceptsRank3Input(t *testing.T) {
 	}
 }
 
+func TestFlattenToCapsRoundTrip(t *testing.T) {
+	x := rt(51, 2, 8, 3, 3)
+	flat := flattenToCaps(x, 2*3*3, 4)
+	if flat.Shape[1] != 18 || flat.Shape[2] != 4 {
+		t.Fatalf("flatten shape = %v", flat.Shape)
+	}
+	// Rank-3 passthrough.
+	again := flattenToCaps(flat, 18, 4)
+	if &again.Data[0] != &flat.Data[0] {
+		t.Fatal("rank-3 input must pass through")
+	}
+}
+
 func TestRoutingCouplingCoefficientsSeenByInjector(t *testing.T) {
 	l := newClassCaps("CC", 4, 4, 3, 4, 3, 17)
 	x := rt(18, 1, 4, 4)

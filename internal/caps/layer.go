@@ -51,7 +51,7 @@ func (l *Conv2D) Name() string { return l.LayerName }
 
 // Forward implements Layer.
 func (l *Conv2D) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
-	y := be.Conv2D(l.LayerName, x, l.W, l.B, l.Stride, l.Pad, s)
+	y := be.Conv2D(l.LayerName, x, l.W, l.B, l.Stride, l.Pad, s, nil)
 	y = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, y)
 	if l.ReLU {
 		r := tensor.ReLU(y)
@@ -107,12 +107,12 @@ func (l *ConvCaps2D) Name() string { return l.LayerName }
 
 // Forward implements Layer.
 func (l *ConvCaps2D) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
-	y := be.Conv2D(l.LayerName, x, l.W, l.B, l.Stride, l.Pad, s)
+	y := be.Conv2D(l.LayerName, x, l.W, l.B, l.Stride, l.Pad, s, nil)
 	y = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, y)
 	if l.SkipSquash {
 		return y
 	}
-	return squashCaps(y, l.Caps, l.Dim, l.LayerName, inj, s, nonlinearityOf(be))
+	return squashCaps(y, l.Caps, l.Dim, l.LayerName, inj, s, be.Nonlinearity())
 }
 
 // squashCaps squashes an NCHW tensor whose channels are caps·dim capsule

@@ -166,7 +166,7 @@ func (n *Network) ForwardExec(x *tensor.Tensor, inj noise.Injector, be Backend) 
 // inj, s, be) classifies exactly as a full pass under inj whenever inj is
 // inactive on every site before layer k (see InjectionFrontier). For
 // backends whose frontier (see BackendFrontier) is at or beyond k, the
-// prefix is bit-identical to the backend's BaseID baseline and may be
+// prefix is bit-identical to the backend's exact baseline and may be
 // cached across designs sharing that baseline.
 func (n *Network) ForwardToExec(k int, x *tensor.Tensor, inj noise.Injector, be Backend) *tensor.Tensor {
 	s := scratchPool.Get().(*tensor.Scratch)
@@ -192,17 +192,18 @@ func (n *Network) InjectionFrontier(accept noise.Filter) int {
 
 // BackendFrontier returns the index of the first layer whose output the
 // backend computes approximately — through approximate MAC kernels
-// (Backend.ApproxLayer) or a carried non-exact nonlinearity
-// (NonlinearityCarrier) — or len(n.Layers) when the backend is exact
+// (Backend.ApproxLayer) or a non-exact nonlinearity
+// (Backend.Nonlinearity) — or len(n.Layers) when the backend is exact
 // everywhere. Layers before the frontier produce bit-identical
-// activations under any backend sharing be's BaseID, so their clean
+// activations under any backend sharing be's exact baseline
+// (Backend.ExactBaseline), so their clean
 // activations can be cached and replayed — the same invariant
 // InjectionFrontier provides for noise injectors.
 func (n *Network) BackendFrontier(be Backend) int {
 	f := n.InjectionFrontier(func(s noise.Site) bool {
 		return be.ApproxLayer(s.Layer)
 	})
-	if nf := n.NonlinearityFrontier(nonlinearityOf(be)); nf < f {
+	if nf := n.NonlinearityFrontier(be.Nonlinearity()); nf < f {
 		f = nf
 	}
 	return f

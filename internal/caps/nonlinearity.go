@@ -5,8 +5,8 @@ import (
 )
 
 // This file is the nonlinearity seam: softmax and squash — the two
-// routing-datapath operators the Backend interface deliberately leaves
-// in float — become pluggable here, so behavioral models of
+// routing-datapath operators that run in float on every backend — become
+// pluggable here, selected by Backend.Nonlinearity, so behavioral models of
 // hardware-approximated nonlinearities (internal/approx: base-2 and
 // piecewise-linear softmax, Newton-free squash) run through the same
 // forward paths, injection sites, probes and prefix caching as the exact
@@ -14,7 +14,7 @@ import (
 // carrying a non-exact Nonlinearity changes activations only from the
 // first layer that applies a swapped operator onward
 // (Network.NonlinearityFrontier), so everything before that layer stays
-// cacheable under the backend's BaseID.
+// cacheable with the backend's exact baseline.
 
 // NonlinearFn is the shape of a softmax/squash operator: a normalization
 // along one axis returning a new tensor (matching tensor.Softmax and
@@ -69,30 +69,14 @@ func (nl Nonlinearity) squash(t *tensor.Tensor, axis int) *tensor.Tensor {
 	return nl.SquashFn(t, axis)
 }
 
-// NonlinearityCarrier is implemented by backends that select non-exact
-// routing nonlinearities. Forward paths query it via nonlinearityOf;
-// decorators (ProbeBackend) must delegate it so the selection survives
-// wrapping.
-type NonlinearityCarrier interface {
-	Nonlinearity() Nonlinearity
-}
-
-// nonlinearityOf extracts a backend's nonlinearity selection; backends
-// without the carrier interface run the exact pair.
-func nonlinearityOf(be Backend) Nonlinearity {
-	if c, ok := be.(NonlinearityCarrier); ok {
-		return c.Nonlinearity()
-	}
-	return Nonlinearity{}
-}
-
 // WithNonlinearity decorates be so forward passes use nl's softmax and
 // squash. An exact nl returns be unchanged — the decorated and
 // undecorated exact paths are not just bit-identical but the same code.
-// The decorated backend keeps be's BaseID (activations before the
-// nonlinearity frontier are unaffected, so prefix caches may still be
-// shared with be) but extends its Name, keeping telemetry and probe
-// reference passes distinct.
+// The decorated backend keeps be's ExactBaseline — the probe reference
+// for an approximated nonlinearity is the exact signal, and activations
+// before the nonlinearity frontier are unaffected, so prefix caches may
+// still be shared with be — but extends its Name, keeping telemetry and
+// probe reference passes distinct.
 func WithNonlinearity(be Backend, nl Nonlinearity) Backend {
 	if nl.Exact() {
 		return be
@@ -100,41 +84,19 @@ func WithNonlinearity(be Backend, nl Nonlinearity) Backend {
 	return &nlBackend{Backend: be, nl: nl}
 }
 
-// nlBackend is the Nonlinearity-carrying Backend decorator. MAC kernels
-// delegate untouched; only the carrier interface (read by the routing
-// and squash code) changes behavior.
+// nlBackend is the Nonlinearity-carrying Backend decorator. Every other
+// capability, MAC kernels included, is the embedded backend's.
 type nlBackend struct {
 	Backend
 	nl Nonlinearity
 }
 
-// Nonlinearity implements NonlinearityCarrier.
+// Nonlinearity implements Backend.
 func (b *nlBackend) Nonlinearity() Nonlinearity { return b.nl }
 
 // Name implements Backend: the inner name plus the variant tag, so
 // telemetry and probe output distinguish the approximated run.
 func (b *nlBackend) Name() string { return b.Backend.Name() + "+" + b.nl.Tag() }
-
-// ExactBaseline implements Baseliner: the reference for an approximated
-// nonlinearity is the inner backend's own baseline with exact operators,
-// so probe SQNR measures the full approximation (MACs and nonlinearity)
-// against the exact signal.
-func (b *nlBackend) ExactBaseline() Backend {
-	if bl, ok := b.Backend.(Baseliner); ok {
-		return bl.ExactBaseline()
-	}
-	return b.Backend
-}
-
-// WithOverflow implements OverflowBackend by re-wrapping the inner
-// backend's overflow-reporting variant; backends without accumulator
-// overflow return the receiver unchanged.
-func (b *nlBackend) WithOverflow(report func(layer string, n int64)) Backend {
-	if ob, ok := b.Backend.(OverflowBackend); ok {
-		return &nlBackend{Backend: ob.WithOverflow(report), nl: b.nl}
-	}
-	return b
-}
 
 // NonlinearityFrontier returns the index of the first layer whose output
 // depends on nl's swapped operators, or len(n.Layers) for the exact
@@ -142,7 +104,7 @@ func (b *nlBackend) WithOverflow(report func(layer string, n int64)) Backend {
 // only the dynamic-routing layers. Layers before the frontier produce
 // bit-identical activations with or without nl — the invariant that lets
 // the sweep engine keep its clean-prefix cache (keyed by the backend's
-// BaseID) across nonlinearity variants.
+// exact baseline) across nonlinearity variants.
 func (n *Network) NonlinearityFrontier(nl Nonlinearity) int {
 	if nl.Exact() {
 		return len(n.Layers)

@@ -63,9 +63,10 @@ func TestNonlinearityTagAndName(t *testing.T) {
 	if be.Name() != "float+sm=base2,sq=sqnorm" {
 		t.Fatalf("Name = %q", be.Name())
 	}
-	// BaseID is the inner backend's: the prefix cache may be shared.
-	if be.BaseID() != (Float{}).BaseID() {
-		t.Fatalf("BaseID = %q, want %q", be.BaseID(), (Float{}).BaseID())
+	// The exact baseline is the inner backend's: the prefix cache may be
+	// shared.
+	if be.ExactBaseline() != (Float{}).ExactBaseline() {
+		t.Fatalf("ExactBaseline = %q, want %q", be.ExactBaseline().Name(), (Float{}).ExactBaseline().Name())
 	}
 }
 
@@ -124,30 +125,6 @@ func TestNonlinearityAffectsOnlyLayersPastFrontier(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("swapped softmax did not change routed outputs")
-	}
-}
-
-func TestNonlinearitySurvivesProbeWrapping(t *testing.T) {
-	// ProbeBackend must delegate the carrier interface, or probing would
-	// silently revert an approximate-nonlinearity run to exact operators.
-	nl := Nonlinearity{SoftmaxName: "x", SoftmaxFn: halvedSoftmax}
-	be := WithNonlinearity(Float{}, nl)
-	probed := NewProbeBackend(be, NewProbeRecorder())
-	c, ok := Backend(probed).(NonlinearityCarrier)
-	if !ok {
-		t.Fatal("probe-wrapped backend lost the NonlinearityCarrier interface")
-	}
-	if got := c.Nonlinearity(); got.SoftmaxName != "x" || got.SoftmaxFn == nil {
-		t.Fatalf("probe-wrapped nonlinearity = %+v", got)
-	}
-	n := nlNet()
-	x := rt(12, 2, 1, 12, 12)
-	want := n.ForwardExec(x, noise.None{}, be)
-	got := n.ForwardExec(x, noise.None{}, probed)
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("probed forward differs from unprobed at %d", i)
-		}
 	}
 }
 

@@ -34,8 +34,8 @@ type ProbeLayerStats struct {
 	ErrSq     float64 // Σ (out-ref)² over compared elements
 	Saturated int64   // outputs outside the reference [min, max] range
 
-	// Overflow counts accumulator saturations reported by the backend
-	// (see OverflowBackend); always zero on the float path.
+	// Overflow counts accumulator saturations the backend's kernels
+	// report through their ovf argument; always zero on the float path.
 	Overflow int64
 }
 
@@ -161,8 +161,11 @@ func (r *ProbeRecorder) layerAt(layer string) *ProbeLayerStats {
 	return &r.layers[len(r.layers)-1]
 }
 
-// observe processes one Backend output.
-func (r *ProbeRecorder) observe(layer string, out *tensor.Tensor) {
+// observe processes one Backend output and the accumulator overflows
+// its call reported. During the reference phase the output is copied
+// and the overflows are dropped: the reference backend's own overflows
+// are not the probed signal.
+func (r *ProbeRecorder) observe(layer string, out *tensor.Tensor, overflow int64) {
 	if r.recording {
 		ref := probeRef{layer: layer, data: append([]float64(nil), out.Data...), min: math.Inf(1), max: math.Inf(-1)}
 		for _, v := range out.Data {
@@ -174,6 +177,7 @@ func (r *ProbeRecorder) observe(layer string, out *tensor.Tensor) {
 	}
 	st := r.layerAt(layer)
 	st.Count += int64(len(out.Data))
+	st.Overflow += overflow
 	for _, v := range out.Data {
 		st.Min = math.Min(st.Min, v)
 		st.Max = math.Max(st.Max, v)
@@ -197,86 +201,48 @@ func (r *ProbeRecorder) observe(layer string, out *tensor.Tensor) {
 	}
 }
 
-// addOverflow accumulates backend-reported accumulator overflows for a
-// layer (no-op during the reference phase: the reference backend's own
-// overflows are not the probed signal).
-func (r *ProbeRecorder) addOverflow(layer string, n int64) {
-	if r.recording {
-		return
-	}
-	r.layerAt(layer).Overflow += n
-}
-
 // Layers returns a copy of the accumulated per-layer stats in
 // first-seen (forward) order.
 func (r *ProbeRecorder) Layers() []ProbeLayerStats {
 	return append([]ProbeLayerStats(nil), r.layers...)
 }
 
-// OverflowBackend is implemented by backends whose MAC kernels can
-// saturate a finite accumulator (the fixed-point paths in internal/axe).
-// WithOverflow returns a backend that behaves identically but reports
-// the number of overflowing output elements per kernel call.
-type OverflowBackend interface {
-	Backend
-	WithOverflow(report func(layer string, n int64)) Backend
-}
-
-// Baseliner is implemented by backends that can name their own exact
-// reference: the backend whose outputs serve as the "clean" signal for
-// SQNR (e.g. QuantApprox's baseline is QuantExact at the same width).
-// A backend that returns itself gets no reference pass — its probes
-// carry ranges, moments and overflow only.
-type Baseliner interface {
-	ExactBaseline() Backend
-}
-
-// ProbeBackend decorates a Backend with a ProbeRecorder. Outputs pass
-// through untouched.
+// ProbeBackend decorates a Backend with a ProbeRecorder: every MAC
+// output, and the accumulator overflows its kernel call reports, is
+// observed on the way through. Outputs pass through untouched; every
+// other capability is the embedded backend's.
 type ProbeBackend struct {
-	inner Backend
-	rec   *ProbeRecorder
+	Backend
+	rec *ProbeRecorder
 }
 
 // NewProbeBackend wraps inner so every MAC output is observed by rec.
-// When inner reports accumulator overflow (OverflowBackend), the counts
-// flow into the recorder too.
 func NewProbeBackend(inner Backend, rec *ProbeRecorder) *ProbeBackend {
-	if ob, ok := inner.(OverflowBackend); ok {
-		inner = ob.WithOverflow(rec.addOverflow)
-	}
-	return &ProbeBackend{inner: inner, rec: rec}
+	return &ProbeBackend{Backend: inner, rec: rec}
 }
 
-// Name implements Backend.
-func (p *ProbeBackend) Name() string { return p.inner.Name() }
-
-// BaseID implements Backend.
-func (p *ProbeBackend) BaseID() string { return p.inner.BaseID() }
-
-// ApproxLayer implements Backend.
-func (p *ProbeBackend) ApproxLayer(layer string) bool { return p.inner.ApproxLayer(layer) }
-
-// Nonlinearity implements NonlinearityCarrier by delegating to the
-// wrapped backend, so a probed pass applies the same softmax/squash
-// variants as the unprobed one (the zero value is the exact pair).
-func (p *ProbeBackend) Nonlinearity() Nonlinearity {
-	if c, ok := p.inner.(NonlinearityCarrier); ok {
-		return c.Nonlinearity()
-	}
-	return Nonlinearity{}
-}
-
-// Conv2D implements Backend: delegate, observe, pass through.
-func (p *ProbeBackend) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch) *tensor.Tensor {
-	out := p.inner.Conv2D(layer, x, w, bias, stride, pad, s)
-	p.rec.observe(layer, out)
+// Conv2D implements Backend: delegate, observe, pass through. The inner
+// call's overflows are recorded and added to the caller's ovf.
+func (p *ProbeBackend) Conv2D(layer string, x, w, bias *tensor.Tensor, stride, pad int, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
+	var n int64
+	out := p.Backend.Conv2D(layer, x, w, bias, stride, pad, s, &n)
+	p.rec.observe(layer, out, n)
+	addOverflow(ovf, n)
 	return out
 }
 
-// CapsVotes implements Backend: delegate, observe, pass through.
-func (p *ProbeBackend) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	out := p.inner.CapsVotes(layer, u, w, s)
-	p.rec.observe(layer, out)
+// CapsVotes implements Backend like Conv2D.
+func (p *ProbeBackend) CapsVotes(layer string, u, w *tensor.Tensor, s *tensor.Scratch, ovf *int64) *tensor.Tensor {
+	var n int64
+	out := p.Backend.CapsVotes(layer, u, w, s, &n)
+	p.rec.observe(layer, out, n)
+	addOverflow(ovf, n)
 	return out
+}
+
+// addOverflow adds n to a caller's overflow tally, if it keeps one.
+func addOverflow(ovf *int64, n int64) {
+	if ovf != nil {
+		*ovf += n
+	}
 }

@@ -29,7 +29,7 @@ func (l *ConvCaps3D) Name() string { return l.LayerName }
 func (l *ConvCaps3D) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	votes, oh, ow := l.votes(x, s, be)
 	votes = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, votes)
-	v := dynamicRouting(votes, l.LayerName, l.RoutingIterations, inj, s, nonlinearityOf(be))
+	v := dynamicRouting(votes, l.LayerName, l.RoutingIterations, inj, s, be.Nonlinearity())
 	s.Release(votes)
 	n := x.Shape[0]
 	return v.Reshape(n, l.OutCaps*l.OutDim, oh, ow)
@@ -55,7 +55,7 @@ func (l *ConvCaps3D) votes(x *tensor.Tensor, s *tensor.Scratch, be Backend) (v *
 		wi := tensor.NewFrom(
 			l.W.Data[i*l.OutCaps*l.OutDim*l.InDim*k*k:(i+1)*l.OutCaps*l.OutDim*l.InDim*k*k],
 			l.OutCaps*l.OutDim, l.InDim, k, k)
-		out := be.Conv2D(l.LayerName, sub, wi, nil, l.Stride, l.Pad, s) // [n, outCaps*outDim, oh, ow]
+		out := be.Conv2D(l.LayerName, sub, wi, nil, l.Stride, l.Pad, s, nil) // [n, outCaps*outDim, oh, ow]
 		for b := 0; b < n; b++ {
 			src := out.Data[b*l.OutCaps*l.OutDim*oh*ow : (b+1)*l.OutCaps*l.OutDim*oh*ow]
 			dst := votes.Data[((b*l.InCaps+i)*l.OutCaps*l.OutDim)*oh*ow:]
@@ -112,21 +112,14 @@ func (l *ClassCaps) Name() string { return l.LayerName }
 func (l *ClassCaps) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	n := x.Shape[0]
 	u := flattenToCaps(x, l.InCaps, l.InDim)
-	votes := be.CapsVotes(l.LayerName, u, l.W, s)
+	votes := be.CapsVotes(l.LayerName, u, l.W, s, nil)
 	votes = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, votes)
-	v := dynamicRouting(votes, l.LayerName, l.RoutingIterations, inj, s, nonlinearityOf(be))
+	v := dynamicRouting(votes, l.LayerName, l.RoutingIterations, inj, s, be.Nonlinearity())
 	if u != x {
 		s.Release(u) // u was a flattening copy, not the caller's input
 	}
 	s.Release(votes)
 	return v.Reshape(n, l.OutCaps, l.OutDim)
-}
-
-// FlattenCaps reinterprets x as [n, inCaps, inDim] with the network's
-// capsule layout (position-major per type, inCaps = caps·h·w). Exported
-// for external executors that mirror ClassCaps' vote stage.
-func FlattenCaps(x *tensor.Tensor, inCaps, inDim int) *tensor.Tensor {
-	return flattenToCaps(x, inCaps, inDim)
 }
 
 // flattenToCaps reinterprets x as [n, inCaps, inDim]. For a spatial input
@@ -180,19 +173,6 @@ func routingSites(layer string) []noise.Site {
 		{Layer: layer, Group: noise.Activations},
 		{Layer: layer, Group: noise.LogitsUpdate},
 	}
-}
-
-// DynamicRouting exposes the routing-by-agreement kernel for external
-// executors (e.g. the quantized approximate-execution engine), which
-// compute the votes themselves and route them accurately with the exact
-// nonlinearities.
-// votes is [n, inCaps, outCaps, outDim, positions]; the result is
-// [n, outCaps, outDim, positions].
-func DynamicRouting(votes *tensor.Tensor, layer string, iterations int, inj noise.Injector) *tensor.Tensor {
-	if inj == nil {
-		inj = noise.None{}
-	}
-	return dynamicRouting(votes, layer, iterations, inj, nil, Nonlinearity{})
 }
 
 // dynamicRouting runs routing-by-agreement over votes of shape

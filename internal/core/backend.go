@@ -49,7 +49,7 @@ func DesignBackend(choices []Choice, bits uint) (caps.Backend, error) {
 // persist under the given section key so an interrupted evaluation
 // resumes where it left off. Distinct backends must use distinct section
 // keys. With probes on, a named evaluation's record compares against the
-// backend's exact baseline (caps.Baseliner).
+// backend's exact baseline (caps.Backend.ExactBaseline).
 func (a *Analyzer) EvalBackend(ctx context.Context, be caps.Backend, section string) (float64, error) {
 	p, err := a.evalPlan(section, be, nil)
 	if err != nil {

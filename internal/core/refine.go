@@ -28,19 +28,20 @@ type RefineResult struct {
 }
 
 // Refine extends the methodology's Step 6 with a validate-and-repair
-// loop (a natural extension the paper leaves open): the full approximate
-// design is validated by simultaneous per-site injection; while the
-// accuracy drop exceeds maxDrop, the active site with the largest noise
-// magnitude is upgraded to the next more accurate library component, and
-// validation repeats. This closes the gap between per-site budgets
-// (measured in isolation) and their composed effect.
+// loop (a natural extension the paper leaves open): starting from the
+// design's validated accuracy (the methodology's simultaneous per-site
+// injection pass), while the accuracy drop exceeds maxDrop, the active
+// site with the largest noise magnitude is upgraded to the next more
+// accurate library component and the upgraded design is validated once.
+// This closes the gap between per-site budgets (measured in isolation)
+// and their composed effect.
 //
 // Cancelling ctx stops the loop at the next validation batch boundary
 // with ctx's error. Refinement rounds are not checkpointed: the loop
 // restarts from the design's original choices on rerun (each round is a
 // single validation pass, cheap next to the sweeps that produced the
 // design).
-func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []ComponentProfile, clean, maxDrop float64, maxRounds int) (RefineResult, error) {
+func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []ComponentProfile, clean, validated, maxDrop float64, maxRounds int) (RefineResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -72,18 +73,8 @@ func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []Comp
 	}
 
 	cur := append([]Choice(nil), choices...)
-	res := RefineResult{}
-	for round := 0; round < maxRounds; round++ {
-		acc, err := a.Evaluate(ctx, nil, NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round)), "")
-		if err != nil {
-			res.Choices = cur
-			return res, err
-		}
-		res.Accuracy = acc
-		if acc >= clean-maxDrop {
-			res.Met = true
-			break
-		}
+	res := RefineResult{Accuracy: validated}
+	for round := 0; round < maxRounds && res.Accuracy < clean-maxDrop; round++ {
 		// Upgrade the noisiest non-exact choice.
 		worst := -1
 		for i, c := range cur {
@@ -110,19 +101,16 @@ func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []Comp
 		}
 		cur[worst].Component = next.Component
 		cur[worst].ComponentNM = next.NM
-		acc2, err := a.Evaluate(ctx, nil, NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round)), "")
+		acc, err := a.Evaluate(ctx, nil, NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round)), "")
 		if err != nil {
 			res.Choices = cur
 			return res, err
 		}
-		step.Accuracy = acc2
+		step.Accuracy = acc
 		res.Steps = append(res.Steps, step)
-		res.Accuracy = step.Accuracy
-		if step.Accuracy >= clean-maxDrop {
-			res.Met = true
-			break
-		}
+		res.Accuracy = acc
 	}
+	res.Met = res.Accuracy >= clean-maxDrop
 	res.Choices = cur
 	return res, nil
 }

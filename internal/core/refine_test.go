@@ -10,6 +10,28 @@ import (
 	"redcane/internal/noise"
 )
 
+// validatedAccuracy runs the methodology's validation pass on choices —
+// the accuracy Refine starts from.
+func validatedAccuracy(t *testing.T, a *Analyzer, choices []Choice) float64 {
+	t.Helper()
+	acc, err := a.Evaluate(context.Background(), nil, NewPerSiteInjector(choices, a.Opts.Seed+777), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc
+}
+
+// exactChoices assigns the exact component to every site.
+func exactChoices(a *Analyzer, exact ComponentProfile) []Choice {
+	var choices []Choice
+	for _, g := range noise.Groups() {
+		for _, s := range a.ExtractGroups()[g] {
+			choices = append(choices, Choice{Site: s, Component: exact.Component, ComponentNM: 0})
+		}
+	}
+	return choices
+}
+
 func TestRefineMeetsTargetByUpgrading(t *testing.T) {
 	a := sharedAnalyzer(t)
 	clean := a.CleanAccuracy()
@@ -32,7 +54,7 @@ func TestRefineMeetsTargetByUpgrading(t *testing.T) {
 		}
 	}
 
-	res, err := a.Refine(context.Background(), choices, profiles, clean, 0.05, 100)
+	res, err := a.Refine(context.Background(), choices, profiles, clean, validatedAccuracy(t, a, choices), 0.05, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +81,8 @@ func TestRefineNoopWhenAlreadyGood(t *testing.T) {
 	clean := a.CleanAccuracy()
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	// All-exact design: already meets any target.
-	exact := profiles[0]
-	var choices []Choice
-	for _, g := range noise.Groups() {
-		for _, s := range a.ExtractGroups()[g] {
-			choices = append(choices, Choice{Site: s, Component: exact.Component, ComponentNM: 0})
-		}
-	}
-	res, err := a.Refine(context.Background(), choices, profiles, clean, 0.02, 10)
+	choices := exactChoices(a, profiles[0])
+	res, err := a.Refine(context.Background(), choices, profiles, clean, validatedAccuracy(t, a, choices), 0.02, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +94,33 @@ func TestRefineNoopWhenAlreadyGood(t *testing.T) {
 func TestRefineGivesUpAtExact(t *testing.T) {
 	a := sharedAnalyzer(t)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
-	exact := profiles[0]
-	var choices []Choice
-	for _, g := range noise.Groups() {
-		for _, s := range a.ExtractGroups()[g] {
-			choices = append(choices, Choice{Site: s, Component: exact.Component, ComponentNM: 0})
-		}
-	}
+	choices := exactChoices(a, profiles[0])
 	// Impossible target (above clean accuracy + 1): loop must terminate
 	// without panicking and report Met=false.
-	res, err := a.Refine(context.Background(), choices, profiles, 2.0, 0.0, 5)
+	res, err := a.Refine(context.Background(), choices, profiles, 2.0, validatedAccuracy(t, a, choices), 0.0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Met {
 		t.Fatal("impossible target reported as met")
+	}
+}
+
+func TestRefineStartsFromValidatedAccuracy(t *testing.T) {
+	// Refine judges the design by the validated accuracy it is handed, not
+	// by a fresh draw of its own: an all-exact design validated below the
+	// target has nothing to upgrade, so it ends unmet at that accuracy (a
+	// fresh noise-free evaluation would report the clean accuracy, met).
+	a := sharedAnalyzer(t)
+	clean := a.CleanAccuracy()
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
+	validated := clean - 0.1
+	res, err := a.Refine(context.Background(), exactChoices(a, profiles[0]), profiles, clean, validated, 0.02, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Met || res.Accuracy != validated || len(res.Steps) != 0 {
+		t.Fatalf("all-exact design validated at %.3f (target %.3f): %+v", validated, clean-0.02, res)
 	}
 }
 

@@ -116,7 +116,7 @@ type votesPanic struct{ caps.Float }
 
 func (votesPanic) Name() string            { return "votes-panic" }
 func (votesPanic) ApproxLayer(string) bool { return true }
-func (votesPanic) CapsVotes(string, *tensor.Tensor, *tensor.Tensor, *tensor.Scratch) *tensor.Tensor {
+func (votesPanic) CapsVotes(string, *tensor.Tensor, *tensor.Tensor, *tensor.Scratch, *int64) *tensor.Tensor {
 	panic("votes exploded")
 }
 

@@ -71,11 +71,12 @@ import (
 // left off.
 
 // prefixCache retains the clean activations at one frontier for the whole
-// evaluation set, one tensor per batch. base is the producing backend's
-// BaseID: backends sharing a baseline produce bit-identical prefixes, so
-// a cache keyed (frontier, base) is shared across designs with the same
-// exact arithmetic (e.g. every 8-bit quantized design), but never across
-// arithmetic families (float vs quant8).
+// evaluation set, one tensor per batch. base names the producing
+// backend's exact baseline (ExactBaseline().Name()): backends sharing a
+// baseline produce bit-identical prefixes, so a cache keyed (frontier,
+// base) is shared across designs with the same exact arithmetic (e.g.
+// every 8-bit quantized design), but never across arithmetic families
+// (float vs quant-exact-8).
 type prefixCache struct {
 	frontier int
 	base     string
@@ -317,7 +318,8 @@ func (a *Analyzer) prefixActivations(ctx context.Context, p *plan, b0, b1 int) (
 		return acts, nil
 	}
 	whole := b0 == 0 && b1 == p.nb
-	if whole && a.pcache != nil && a.pcache.frontier == p.frontier && a.pcache.base == p.be.BaseID() {
+	base := p.be.ExactBaseline().Name()
+	if whole && a.pcache != nil && a.pcache.frontier == p.frontier && a.pcache.base == base {
 		a.Obs.Counter("sweep.prefix_cache.hits").Inc()
 		return a.pcache.acts, nil
 	}
@@ -333,7 +335,7 @@ func (a *Analyzer) prefixActivations(ctx context.Context, p *plan, b0, b1 int) (
 		return nil, err
 	}
 	if whole {
-		a.pcache = &prefixCache{frontier: p.frontier, base: p.be.BaseID(), acts: acts}
+		a.pcache = &prefixCache{frontier: p.frontier, base: base, acts: acts}
 		var bytes int64
 		for _, t := range acts {
 			bytes += 8 * int64(len(t.Data))
@@ -491,8 +493,8 @@ func (a *Analyzer) evalPlan(key string, be caps.Backend, inj noise.Splitter) (*p
 		// MAC outputs cross the probe seam, not just the suffix after the
 		// first approximate site.
 		p.frontier = 0
-		if bl, ok := p.be.(caps.Baseliner); ok && bl.ExactBaseline().Name() != p.be.Name() {
-			p.ref = bl.ExactBaseline()
+		if ref := p.be.ExactBaseline(); ref.Name() != p.be.Name() {
+			p.ref = ref
 		}
 	}
 	return p, nil

@@ -306,5 +306,5 @@ func (r *Runner) RefineDesign(b Benchmark, d *DesignResult) (core.RefineResult, 
 	if err != nil {
 		return core.RefineResult{}, err
 	}
-	return a.Refine(r.ctx(), d.Report.Choices, d.profiles, d.Report.CleanAccuracy, r.threshold(), 50)
+	return a.Refine(r.ctx(), d.Report.Choices, d.profiles, d.Report.CleanAccuracy, d.Report.ValidatedAccuracy, r.threshold(), 50)
 }

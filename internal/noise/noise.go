@@ -173,9 +173,6 @@ type Gaussian struct {
 	rng     interface {
 		NormFloat64() float64
 	}
-	// Visited counts Inject calls per site, exposed for tests and for
-	// the methodology's site-enumeration step.
-	Visited map[Site]int
 }
 
 // NewGaussian builds an injector adding noise with the given NM and NA on
@@ -185,12 +182,11 @@ func NewGaussian(nm, na float64, filter Filter, seed uint64) *Gaussian {
 		filter = All()
 	}
 	return &Gaussian{
-		NM:      nm,
-		NA:      na,
-		filter:  filter,
-		seed:    seed,
-		rng:     tensor.NewRNG(seed),
-		Visited: make(map[Site]int),
+		NM:     nm,
+		NA:     na,
+		filter: filter,
+		seed:   seed,
+		rng:    tensor.NewRNG(seed),
 	}
 }
 
@@ -206,7 +202,6 @@ func (g *Gaussian) Split(stream uint64) Injector {
 
 // Inject applies Eq. 3–4 in place when the site is selected.
 func (g *Gaussian) Inject(site Site, x *tensor.Tensor) *tensor.Tensor {
-	g.Visited[site]++
 	if !g.filter(site) {
 		return x
 	}

@@ -146,17 +146,6 @@ func TestGaussianConstantTensorGetsNoNoise(t *testing.T) {
 	}
 }
 
-func TestGaussianVisitedBookkeeping(t *testing.T) {
-	inj := NewGaussian(0.1, 0, ForGroup(Softmax), 1)
-	s := Site{Layer: "L", Group: MACOutputs}
-	x := tensor.New(4)
-	inj.Inject(s, x)
-	inj.Inject(s, x)
-	if inj.Visited[s] != 2 {
-		t.Fatalf("Visited = %d, want 2", inj.Visited[s])
-	}
-}
-
 func TestNilFilterMeansAll(t *testing.T) {
 	x := tensor.New(100).FillUniform(tensor.NewRNG(5), 0, 1)
 	before := x.Clone()
