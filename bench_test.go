@@ -408,10 +408,11 @@ func BenchmarkTrainEpochCapsNet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m, err := models.BuildTrainer(spec, 7)
+		net, err := models.BuildInference(spec, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
+		m := train.NewModel(net)
 		calib := tensor.NewFrom(ds.TrainX.Data[:16*400], 16, 1, 20, 20)
 		train.LSUVInit(m, calib, 0.5)
 		b.StartTimer()

@@ -14,7 +14,6 @@ import (
 	"redcane/internal/core"
 	"redcane/internal/datasets"
 	"redcane/internal/models"
-	"redcane/internal/params"
 	"redcane/internal/tensor"
 	"redcane/internal/train"
 )
@@ -28,31 +27,28 @@ func main() {
 	fmt.Printf("dataset %s: %d train / %d test, %d classes\n",
 		ds.Name, ds.TrainX.Shape[0], ds.TestX.Shape[0], ds.Classes())
 
-	// 2. Build and train the original CapsNet (Conv → PrimaryCaps →
-	//    DigitCaps with dynamic routing).
+	// 2. Build the original CapsNet (Conv → PrimaryCaps → DigitCaps with
+	//    dynamic routing) and train it in place: the instrumented network
+	//    the analysis runs is the one trained.
 	spec := models.CapsNet([]int{ds.Channels, ds.H, ds.W}, ds.Classes())
-	trainer, err := models.BuildTrainer(spec, 7)
+	net, err := models.BuildInference(spec, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := train.NewModel(net)
 	sz := ds.Channels * ds.H * ds.W
 	calib := tensor.NewFrom(ds.TrainX.Data[:32*sz], 32, ds.Channels, ds.H, ds.W)
-	train.LSUVInit(trainer, calib, 0.5)
-	res := train.Fit(trainer, ds, train.Config{
+	train.LSUVInit(m, calib, 0.5)
+	train.Fit(m, ds, train.Config{
 		Epochs: 3, BatchSize: 32, LR: 1.5e-3, Seed: 1, GradClip: 5, Log: os.Stdout,
 	})
-	fmt.Printf("trained: test accuracy %.2f%%\n\n", 100*res.TestAccuracy)
-
-	// 3. Transfer the weights into the instrumented inference network.
-	net, err := models.BuildInference(spec, 99)
+	acc, err := (&core.Analyzer{Net: net, Data: ds}).Evaluate(context.Background(), nil, nil, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := params.FromParams(trainer.ParamMap()).LoadInto(net.Params()); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("trained: test accuracy %.2f%%\n\n", 100*acc)
 
-	// 4. Group-wise resilience analysis (methodology Steps 1–3): sweep
+	// 3. Group-wise resilience analysis (methodology Steps 1–3): sweep
 	//    the noise magnitude per Table III operation group.
 	a := &core.Analyzer{Net: net, Data: ds, Opts: core.Options{
 		Trials: 2, MaxEval: 150, Seed: 5,

@@ -9,10 +9,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
+	"redcane/internal/core"
 	"redcane/internal/datasets"
 	"redcane/internal/models"
 	"redcane/internal/tensor"
@@ -24,20 +26,25 @@ func main() {
 
 	ds := datasets.MNISTLike(800, 100, 42)
 	spec := models.CapsNet([]int{1, 20, 20}, 10)
-	m, err := models.BuildTrainer(spec, 7)
+	net, err := models.BuildInference(spec, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := train.NewModel(net)
 	sz := ds.Channels * ds.H * ds.W
 	calib := tensor.NewFrom(ds.TrainX.Data[:32*sz], 32, 1, 20, 20)
 	train.LSUVInit(m, calib, 0.5)
 
 	dec := train.NewDecoder(10, 16, 64, 64, sz, 9)
-	res := train.Fit(m, ds, train.Config{
+	train.Fit(m, ds, train.Config{
 		Epochs: 4, BatchSize: 32, LR: 1.5e-3, Seed: 1, GradClip: 5,
 		Decoder: dec, Log: os.Stdout,
 	})
-	fmt.Printf("trained with reconstruction loss: test accuracy %.2f%%\n", 100*res.TestAccuracy)
+	acc, err := (&core.Analyzer{Net: net, Data: ds}).Evaluate(context.Background(), nil, nil, "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("trained with reconstruction loss: test accuracy %.2f%%\n", 100*acc)
 
 	// Reconstruct the first 8 test digits and save input/output pairs.
 	outDir := "reconstructions"

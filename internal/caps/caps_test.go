@@ -94,14 +94,6 @@ func TestConvCaps2DSquashBoundsNorms(t *testing.T) {
 	}
 }
 
-func TestConvCaps2DSkipSquash(t *testing.T) {
-	l := newCaps2D("C", 2, 2, 4, 3, 1, 1, 6)
-	l.SkipSquash = true
-	if len(l.Sites()) != 1 {
-		t.Fatalf("skip-squash layer should expose only MAC site, got %+v", l.Sites())
-	}
-}
-
 func TestConvCaps3DForwardShapeAndRouting(t *testing.T) {
 	l := newCaps3D("Caps3D", 4, 4, 5, 6, 3, 1, 1, 3, 7)
 	x := rt(8, 2, 16, 4, 4) // 4 caps × 4 dim
@@ -175,12 +167,12 @@ func TestClassCapsAcceptsRank3Input(t *testing.T) {
 
 func TestFlattenToCapsRoundTrip(t *testing.T) {
 	x := rt(51, 2, 8, 3, 3)
-	flat := flattenToCaps(x, 2*3*3, 4)
+	flat := FlattenToCaps(x, 2*3*3, 4)
 	if flat.Shape[1] != 18 || flat.Shape[2] != 4 {
 		t.Fatalf("flatten shape = %v", flat.Shape)
 	}
 	// Rank-3 passthrough.
-	again := flattenToCaps(flat, 18, 4)
+	again := FlattenToCaps(flat, 18, 4)
 	if &again.Data[0] != &flat.Data[0] {
 		t.Fatal("rank-3 input must pass through")
 	}

@@ -97,9 +97,6 @@ type ConvCaps2D struct {
 	B         *tensor.Tensor // [caps*dim]
 	Stride    int
 	Pad       int
-	// SkipSquash leaves the output unsquashed; DeepCaps cells squash
-	// once after the residual sum instead.
-	SkipSquash bool
 }
 
 // Name implements Layer.
@@ -109,9 +106,6 @@ func (l *ConvCaps2D) Name() string { return l.LayerName }
 func (l *ConvCaps2D) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	y := be.Conv2D(l.LayerName, x, l.W, l.B, l.Stride, l.Pad, s, nil)
 	y = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, y)
-	if l.SkipSquash {
-		return y
-	}
 	return squashCaps(y, l.Caps, l.Dim, l.LayerName, inj, s, be.Nonlinearity())
 }
 
@@ -129,11 +123,10 @@ func squashCaps(y *tensor.Tensor, caps, dim int, layer string, inj noise.Injecto
 
 // Sites implements Layer.
 func (l *ConvCaps2D) Sites() []noise.Site {
-	s := []noise.Site{{Layer: l.LayerName, Group: noise.MACOutputs}}
-	if !l.SkipSquash {
-		s = append(s, noise.Site{Layer: l.LayerName, Group: noise.Activations})
+	return []noise.Site{
+		{Layer: l.LayerName, Group: noise.MACOutputs},
+		{Layer: l.LayerName, Group: noise.Activations},
 	}
-	return s
 }
 
 // Params implements Layer.
@@ -149,9 +142,7 @@ func (l *ConvCaps2D) Ops(inShape []int) (energy.Counts, []int) {
 	n, h, w := inShape[0], inShape[2], inShape[3]
 	spec := tensor.ConvSpec{KH: l.W.Shape[2], KW: l.W.Shape[3], Stride: l.Stride, Pad: l.Pad}
 	oh, ow := spec.OutSize(h, w)
-	c := energy.Conv2DOps(oh, ow, l.W.Shape[0], l.W.Shape[1], l.W.Shape[2], l.W.Shape[3])
-	if !l.SkipSquash {
-		c = c.Plus(energy.SquashOps(l.Caps*oh*ow, l.Dim))
-	}
+	c := energy.Conv2DOps(oh, ow, l.W.Shape[0], l.W.Shape[1], l.W.Shape[2], l.W.Shape[3]).
+		Plus(energy.SquashOps(l.Caps*oh*ow, l.Dim))
 	return c.Scale(float64(n)), []int{n, l.Caps * l.Dim, oh, ow}
 }

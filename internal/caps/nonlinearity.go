@@ -113,7 +113,7 @@ func (n *Network) NonlinearityFrontier(nl Nonlinearity) int {
 	affected = func(l Layer) bool {
 		switch t := l.(type) {
 		case *ConvCaps2D:
-			return nl.SquashFn != nil && !t.SkipSquash
+			return nl.SquashFn != nil
 		case *ConvCaps3D, *ClassCaps:
 			// Routing layers apply both operators every iteration.
 			return true

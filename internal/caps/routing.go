@@ -111,7 +111,7 @@ func (l *ClassCaps) Name() string { return l.LayerName }
 // vote MACs run on the backend; routing-by-agreement stays in float.
 func (l *ClassCaps) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scratch, be Backend) *tensor.Tensor {
 	n := x.Shape[0]
-	u := flattenToCaps(x, l.InCaps, l.InDim)
+	u := FlattenToCaps(x, l.InCaps, l.InDim)
 	votes := be.CapsVotes(l.LayerName, u, l.W, s, nil)
 	votes = inj.Inject(noise.Site{Layer: l.LayerName, Group: noise.MACOutputs}, votes)
 	v := dynamicRouting(votes, l.LayerName, l.RoutingIterations, inj, s, be.Nonlinearity())
@@ -122,10 +122,11 @@ func (l *ClassCaps) Forward(x *tensor.Tensor, inj noise.Injector, s *tensor.Scra
 	return v.Reshape(n, l.OutCaps, l.OutDim)
 }
 
-// flattenToCaps reinterprets x as [n, inCaps, inDim]. For a spatial input
-// [n, caps·dim, h, w], capsules are laid out position-major per type so
-// that inCaps = caps·h·w.
-func flattenToCaps(x *tensor.Tensor, inCaps, inDim int) *tensor.Tensor {
+// FlattenToCaps reinterprets x as [n, inCaps, inDim]: the ClassCaps
+// input. For a spatial input [n, caps·dim, h, w], capsules are laid out
+// position-major per type so that inCaps = caps·h·w; a rank-3 input is
+// returned as is.
+func FlattenToCaps(x *tensor.Tensor, inCaps, inDim int) *tensor.Tensor {
 	n := x.Shape[0]
 	if x.Rank() == 3 {
 		return x
@@ -197,25 +198,7 @@ func dynamicRouting(votes *tensor.Tensor, layer string, iterations int, inj nois
 		k := nl.softmax(logits, 2)
 		k = inj.Inject(noise.Site{Layer: layer, Group: noise.Softmax}, k)
 
-		// s[b, j, d, p] = Σ_i k[b, i, j, p] · û[b, i, j, d, p]
-		s := sc.TakeZero(n, outCaps, outDim, pos)
-		for b := 0; b < n; b++ {
-			for i := 0; i < inCaps; i++ {
-				for j := 0; j < outCaps; j++ {
-					kOff := ((b*inCaps+i)*outCaps + j) * pos
-					kRow := k.Data[kOff : kOff+pos : kOff+pos]
-					for d := 0; d < outDim; d++ {
-						vOff := ((((b*inCaps+i)*outCaps+j)*outDim + d) * pos)
-						vRow := votes.Data[vOff : vOff+pos : vOff+pos]
-						sOff := ((b*outCaps+j)*outDim + d) * pos
-						sRow := s.Data[sOff : sOff+pos : sOff+pos]
-						for p, kv := range kRow {
-							sRow[p] += kv * vRow[p]
-						}
-					}
-				}
-			}
-		}
+		s := WeightedVotes(k, votes, sc)
 
 		// v = squash(s) along the capsule dimension.
 		prev := v
@@ -248,4 +231,33 @@ func dynamicRouting(votes *tensor.Tensor, layer string, iterations int, inj nois
 	}
 	sc.Release(logits)
 	return v
+}
+
+// WeightedVotes returns the routing sum s[b, j, d, p] = Σ_i k[b, i, j, p]
+// · û[b, i, j, d, p] of coupling coefficients k [n, inCaps, outCaps, pos]
+// and votes û [n, inCaps, outCaps, outDim, pos]: the pre-squash output
+// [n, outCaps, outDim, pos] of one routing iteration. s comes from the
+// scratch arena (nil allocates fresh).
+func WeightedVotes(k, votes *tensor.Tensor, sc *tensor.Scratch) *tensor.Tensor {
+	n, inCaps, outCaps := votes.Shape[0], votes.Shape[1], votes.Shape[2]
+	outDim, pos := votes.Shape[3], votes.Shape[4]
+	s := sc.TakeZero(n, outCaps, outDim, pos)
+	for b := 0; b < n; b++ {
+		for i := 0; i < inCaps; i++ {
+			for j := 0; j < outCaps; j++ {
+				kOff := ((b*inCaps+i)*outCaps + j) * pos
+				kRow := k.Data[kOff : kOff+pos : kOff+pos]
+				for d := 0; d < outDim; d++ {
+					vOff := ((((b*inCaps+i)*outCaps+j)*outDim + d) * pos)
+					vRow := votes.Data[vOff : vOff+pos : vOff+pos]
+					sOff := ((b*outCaps+j)*outDim + d) * pos
+					sRow := s.Data[sOff : sOff+pos : sOff+pos]
+					for p, kv := range kRow {
+						sRow[p] += kv * vRow[p]
+					}
+				}
+			}
+		}
+	}
+	return s
 }

@@ -860,7 +860,7 @@ func (a *Analyzer) RunMethodology(ctx context.Context, profiles []ComponentProfi
 	}
 
 	sp = run.Child("methodology.validate")
-	validated, err := a.Evaluate(ctx, nil, NewPerSiteInjector(choices, a.Opts.Seed+777), "")
+	validated, err := a.validate(ctx, choices)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -877,6 +877,14 @@ func (a *Analyzer) RunMethodology(ctx context.Context, profiles []ComponentProfi
 		MulEnergySaving:   saving,
 		ValidatedAccuracy: validated,
 	}, nil
+}
+
+// validate measures a design's accuracy with every site injected at once
+// (Step 6's check). The noise draw depends only on the choices and
+// a.Opts.Seed, so Refine's upgrades compare against the methodology's
+// validation under one draw.
+func (a *Analyzer) validate(ctx context.Context, choices []Choice) (float64, error) {
+	return a.Evaluate(ctx, nil, NewPerSiteInjector(choices, a.Opts.Seed+777), "")
 }
 
 // FormatReport renders a human-readable summary.

@@ -10,7 +10,6 @@ import (
 	"redcane/internal/datasets"
 	"redcane/internal/models"
 	"redcane/internal/noise"
-	"redcane/internal/params"
 	"redcane/internal/tensor"
 	"redcane/internal/train"
 )
@@ -26,24 +25,21 @@ func sharedAnalyzer(t *testing.T) *Analyzer {
 	}
 	full := datasets.MNISTLike(150, 60, 42)
 	ds := filterClasses(full, 3)
-	spec := models.CapsNet([]int{1, 20, 20}, 3)
-	m, err := models.BuildTrainer(spec, 7)
+	net, err := models.BuildInference(models.CapsNet([]int{1, 20, 20}, 3), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := train.NewModel(net)
 	sz := ds.Channels * ds.H * ds.W
 	calib := tensor.NewFrom(ds.TrainX.Data[:16*sz], 16, ds.Channels, ds.H, ds.W)
 	train.LSUVInit(m, calib, 0.5)
-	res := train.Fit(m, ds, train.Config{Epochs: 10, BatchSize: 12, LR: 2e-3, Seed: 1, GradClip: 5})
-	if res.TestAccuracy < 0.8 {
-		t.Fatalf("fixture model too weak: %.2f", res.TestAccuracy)
-	}
-	net, err := models.BuildInference(spec, 99)
+	train.Fit(m, ds, train.Config{Epochs: 10, BatchSize: 12, LR: 2e-3, Seed: 1, GradClip: 5})
+	acc, err := (&Analyzer{Net: net, Data: ds}).Evaluate(context.Background(), nil, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := params.FromParams(m.ParamMap()).LoadInto(net.Params()); err != nil {
-		t.Fatal(err)
+	if acc < 0.8 {
+		t.Fatalf("fixture model too weak: %.2f", acc)
 	}
 	shared = &Analyzer{
 		Net:  net,

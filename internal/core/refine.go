@@ -34,7 +34,10 @@ type RefineResult struct {
 // site with the largest noise magnitude is upgraded to the next more
 // accurate library component and the upgraded design is validated once.
 // This closes the gap between per-site budgets (measured in isolation)
-// and their composed effect.
+// and their composed effect. Each upgrade is validated exactly as
+// RunMethodology validates a design, so when validated came from the
+// same Analyzer options, every accuracy the loop compares is measured
+// under one noise draw.
 //
 // Cancelling ctx stops the loop at the next validation batch boundary
 // with ctx's error. Refinement rounds are not checkpointed: the loop
@@ -101,7 +104,7 @@ func (a *Analyzer) Refine(ctx context.Context, choices []Choice, profiles []Comp
 		}
 		cur[worst].Component = next.Component
 		cur[worst].ComponentNM = next.NM
-		acc, err := a.Evaluate(ctx, nil, NewPerSiteInjector(cur, a.Opts.Seed+900+uint64(round)), "")
+		acc, err := a.validate(ctx, cur)
 		if err != nil {
 			res.Choices = cur
 			return res, err

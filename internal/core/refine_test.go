@@ -32,15 +32,11 @@ func exactChoices(a *Analyzer, exact ComponentProfile) []Choice {
 	return choices
 }
 
-func TestRefineMeetsTargetByUpgrading(t *testing.T) {
-	a := sharedAnalyzer(t)
-	clean := a.CleanAccuracy()
-	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
-
-	// Deliberately bad starting design: the crudest component everywhere.
-	sorted := append([]ComponentProfile(nil), profiles...)
-	worst := sorted[0]
-	for _, p := range sorted {
+// worstChoices is a deliberately bad design: the crudest component of
+// the library at every site.
+func worstChoices(a *Analyzer, profiles []ComponentProfile) []Choice {
+	worst := profiles[0]
+	for _, p := range profiles {
 		if p.NM > worst.NM {
 			worst = p
 		}
@@ -53,6 +49,14 @@ func TestRefineMeetsTargetByUpgrading(t *testing.T) {
 			})
 		}
 	}
+	return choices
+}
+
+func TestRefineMeetsTargetByUpgrading(t *testing.T) {
+	a := sharedAnalyzer(t)
+	clean := a.CleanAccuracy()
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
+	choices := worstChoices(a, profiles)
 
 	res, err := a.Refine(context.Background(), choices, profiles, clean, validatedAccuracy(t, a, choices), 0.05, 100)
 	if err != nil {
@@ -121,6 +125,26 @@ func TestRefineStartsFromValidatedAccuracy(t *testing.T) {
 	}
 	if res.Met || res.Accuracy != validated || len(res.Steps) != 0 {
 		t.Fatalf("all-exact design validated at %.3f (target %.3f): %+v", validated, clean-0.02, res)
+	}
+}
+
+func TestRefineValidatesUnderTheMethodologysDraw(t *testing.T) {
+	// Designs compare under one noise draw: an upgrade is validated
+	// exactly as the methodology validates a design, so its accuracy
+	// equals a fresh validation of the upgraded choices.
+	a := sharedAnalyzer(t)
+	clean := a.CleanAccuracy()
+	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
+	choices := worstChoices(a, profiles)
+	res, err := a.Refine(context.Background(), choices, profiles, clean, validatedAccuracy(t, a, choices), 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) != 1 {
+		t.Fatalf("want one upgrade of the all-worst design, got %+v", res.Steps)
+	}
+	if want := validatedAccuracy(t, a, res.Choices); res.Steps[0].Accuracy != want {
+		t.Fatalf("round 0 accuracy %.4f, fresh validation of its choices %.4f", res.Steps[0].Accuracy, want)
 	}
 }
 

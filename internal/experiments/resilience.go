@@ -301,8 +301,10 @@ func (d *DesignResult) WriteJSON(w io.Writer) error { return d.Report.WriteJSON(
 // RefineDesign applies the validate-and-repair extension (core.Refine) to
 // an existing design: while the composed approximate CapsNet exceeds the
 // tolerable accuracy drop, the noisiest component assignment is upgraded.
+// It analyzes with Design's seed, so every upgrade is validated under the
+// noise draw that validated the design.
 func (r *Runner) RefineDesign(b Benchmark, d *DesignResult) (core.RefineResult, error) {
-	a, err := r.analyzer(b, core.Options{Seed: 24}, Overrides{})
+	a, err := r.analyzer(b, core.Options{Seed: 23}, Overrides{})
 	if err != nil {
 		return core.RefineResult{}, err
 	}

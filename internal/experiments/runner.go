@@ -394,10 +394,9 @@ func (r *Runner) Trained(b Benchmark) (*Trained, error) {
 	r.obs().Info("training benchmark", obs.F("benchmark", key),
 		obs.F("samples", ds.TrainX.Shape[0]), obs.F("epochs", r.epochs(b.Arch)))
 	total := r.obs().StartSpan("train.benchmark", obs.F("benchmark", key))
-	m, err := models.BuildTrainer(spec, r.Cfg.Seed+11)
-	if err != nil {
-		return nil, err
-	}
+	// net is trained in place. A cache that failed to load above left it
+	// untouched (params.Store.LoadInto checks before it copies).
+	m := train.NewModel(net)
 	sz := ds.Channels * ds.H * ds.W
 	calibN := 32
 	if calibN > ds.TrainX.Shape[0] {
@@ -418,13 +417,10 @@ func (r *Runner) Trained(b Benchmark) (*Trained, error) {
 	})
 	sp.End()
 	if err != nil {
-		// Cancelled mid-training: the weights are partial, so nothing is
-		// cached — a rerun restarts this benchmark's training from scratch.
+		// Cancelled mid-training: net's weights are partial, so it is
+		// dropped and nothing is cached — a rerun builds a fresh network
+		// and restarts this benchmark's training from scratch.
 		return nil, fmt.Errorf("train %s: %w", key, err)
-	}
-	store := params.FromParams(m.ParamMap())
-	if err := store.LoadInto(net.Params()); err != nil {
-		return nil, err
 	}
 	if cachePath != "" {
 		// Cache write failures are non-fatal, but never silent: a broken
@@ -432,7 +428,7 @@ func (r *Runner) Trained(b Benchmark) (*Trained, error) {
 		if err := os.MkdirAll(r.Cfg.Dir, 0o755); err != nil {
 			r.obs().Warn("weight-cache dir create failed",
 				obs.F("dir", r.Cfg.Dir), obs.F("err", err))
-		} else if err := store.Save(cachePath); err != nil {
+		} else if err := params.FromParams(net.Params()).Save(cachePath); err != nil {
 			r.obs().Warn("weight-cache save failed",
 				obs.F("path", cachePath), obs.F("err", err))
 		}

@@ -1,9 +1,8 @@
 // Package models defines the two CapsNet architectures of the paper's
 // evaluation — DeepCaps (Rajasegaran et al., CVPR 2019) and the original
-// CapsNet (Sabour et al., NIPS 2017) — as specs that build both the
-// inference network (internal/caps) and the training model
-// (internal/train) with identical topology, layer names and weight
-// layouts, so trained weights transfer directly.
+// CapsNet (Sabour et al., NIPS 2017) — as specs that build the one
+// capsule network (internal/caps) which internal/train trains in place
+// and the resilience analysis runs.
 //
 // Two spec scales exist: the trainable scale (reduced channel counts for
 // pure-Go training on synthetic data) and the paper's full-size DeepCaps
@@ -15,7 +14,6 @@ import (
 
 	"redcane/internal/caps"
 	"redcane/internal/tensor"
-	"redcane/internal/train"
 )
 
 // ConvSpec describes the stem convolution.
@@ -156,8 +154,9 @@ func (s Spec) geometry() (inCapsClass, inDimClass int, err error) {
 // layerNames follow the paper's Fig. 10 labels: Conv2D, Caps2D1..15,
 // Caps3D, ClassCaps (and Primary for the original CapsNet).
 
-// BuildInference constructs the runnable inference network with
-// Glorot-initialized weights (load trained weights via internal/params).
+// BuildInference constructs the network with Glorot-initialized weights:
+// train it in place with internal/train, or load trained weights via
+// internal/params.
 func BuildInference(s Spec, seed uint64) (*caps.Network, error) {
 	inCaps, inDim, err := s.geometry()
 	if err != nil {
@@ -240,50 +239,4 @@ func BuildInference(s Spec, seed uint64) (*caps.Network, error) {
 		InputShape: append([]int(nil), s.InputShape...),
 		Layers:     layers,
 	}, nil
-}
-
-// BuildTrainer constructs the trainable mirror of BuildInference with the
-// same layer names and weight layouts.
-func BuildTrainer(s Spec, seed uint64) (*train.Model, error) {
-	inCaps, inDim, err := s.geometry()
-	if err != nil {
-		return nil, err
-	}
-	rngSeed := seed
-	nextSeed := func() uint64 { rngSeed++; return rngSeed }
-
-	inCh := s.InputShape[0]
-	layers := []train.Layer{
-		train.NewConv2D("Conv2D", inCh, s.Conv.Out, s.Conv.K, s.Conv.Stride, s.Conv.Pad, true, nextSeed()),
-	}
-	ch := s.Conv.Out
-
-	if len(s.Cells) > 0 {
-		idx := 1
-		for ci, c := range s.Cells {
-			l1 := train.NewConvCaps2D(fmt.Sprintf("Caps2D%d", idx), ch, c.L1.Caps, c.L1.Dim, c.L1.K, c.L1.Stride, c.L1.Pad, nextSeed())
-			mid := c.L1.Caps * c.L1.Dim
-			l2 := train.NewConvCaps2D(fmt.Sprintf("Caps2D%d", idx+1), mid, c.L2.Caps, c.L2.Dim, c.L2.K, c.L2.Stride, c.L2.Pad, nextSeed())
-			l3 := train.NewConvCaps2D(fmt.Sprintf("Caps2D%d", idx+2), c.L2.Caps*c.L2.Dim, c.L3.Caps, c.L3.Dim, c.L3.K, c.L3.Stride, c.L3.Pad, nextSeed())
-			var skip train.Layer
-			if c.Routing3D {
-				skip = train.NewConvCaps3D("Caps3D", c.L1.Caps, c.L1.Dim, c.Skip.Caps, c.Skip.Dim, c.Skip.K, c.Skip.Stride, c.Skip.Pad, c.RoutingIters, nextSeed())
-				idx += 3
-			} else {
-				skip = train.NewConvCaps2D(fmt.Sprintf("Caps2D%d", idx+3), mid, c.Skip.Caps, c.Skip.Dim, c.Skip.K, c.Skip.Stride, c.Skip.Pad, nextSeed())
-				idx += 4
-			}
-			layers = append(layers, &train.CapsCell{
-				CellName: fmt.Sprintf("Cell%d", ci+1),
-				L1:       l1, L2: l2, L3: l3, Skip: skip,
-			})
-			ch = c.L3.Caps * c.L3.Dim
-		}
-	} else {
-		p := s.Primary
-		layers = append(layers, train.NewConvCaps2D("Primary", ch, p.Caps, p.Dim, p.K, p.Stride, p.Pad, nextSeed()))
-	}
-
-	layers = append(layers, train.NewClassCaps("ClassCaps", inCaps, inDim, s.Class.OutCaps, s.Class.OutDim, s.Class.RoutingIters, nextSeed()))
-	return &train.Model{ModelName: s.Name, Layers: layers}, nil
 }

@@ -1,11 +1,9 @@
 package models
 
 import (
-	"math"
 	"testing"
 
 	"redcane/internal/noise"
-	"redcane/internal/params"
 	"redcane/internal/tensor"
 )
 
@@ -74,42 +72,6 @@ func TestCapsNetGeometry(t *testing.T) {
 	}
 }
 
-func TestTrainerMatchesInferenceAfterWeightTransfer(t *testing.T) {
-	// The entire resilience methodology depends on this: weights trained
-	// in internal/train must produce identical outputs when loaded into
-	// the internal/caps inference network.
-	for _, spec := range []Spec{
-		CapsNet([]int{1, 20, 20}, 4),
-		DeepCaps([]int{3, 16, 16}, 4),
-	} {
-		trainer, err := BuildTrainer(spec, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, err := BuildInference(spec, 999) // different init on purpose
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := params.FromParams(trainer.ParamMap())
-		if err := store.LoadInto(net.Params()); err != nil {
-			t.Fatalf("%s: transfer: %v", spec.Name, err)
-		}
-		x := tensor.New(2, spec.InputShape[0], spec.InputShape[1], spec.InputShape[2]).
-			FillUniform(tensor.NewRNG(11), 0, 1)
-		wantOut := trainer.Forward(x)
-		gotOut := net.Forward(x, noise.None{})
-		if !wantOut.SameShape(gotOut) {
-			t.Fatalf("%s: shapes %v vs %v", spec.Name, wantOut.Shape, gotOut.Shape)
-		}
-		for i := range wantOut.Data {
-			if math.Abs(wantOut.Data[i]-gotOut.Data[i]) > 1e-9 {
-				t.Fatalf("%s: output[%d] = %g (inference) vs %g (trainer)",
-					spec.Name, i, gotOut.Data[i], wantOut.Data[i])
-			}
-		}
-	}
-}
-
 func TestFullDeepCapsOpCountsShape(t *testing.T) {
 	// Table I shape: multiplications and additions in the 10⁹ range and
 	// within 2× of each other; div/exp/sqrt orders of magnitude rarer.
@@ -142,35 +104,6 @@ func TestGeometryErrors(t *testing.T) {
 	bad := Spec{Name: "bad", InputShape: []int{1, 20, 20}, Conv: ConvSpec{Out: 4, K: 3, Stride: 1, Pad: 1}}
 	if _, err := BuildInference(bad, 1); err == nil {
 		t.Fatal("expected error for spec without cells or primary caps")
-	}
-	if _, err := BuildTrainer(bad, 1); err == nil {
-		t.Fatal("expected trainer error for bad spec")
-	}
-}
-
-func TestParamNameParity(t *testing.T) {
-	spec := DeepCaps([]int{3, 16, 16}, 10)
-	trainer, err := BuildTrainer(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := BuildInference(spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := trainer.ParamMap()
-	np := net.Params()
-	if len(tp) != len(np) {
-		t.Fatalf("param counts differ: trainer %d vs inference %d", len(tp), len(np))
-	}
-	for name, w := range np {
-		tw, ok := tp[name]
-		if !ok {
-			t.Fatalf("trainer missing param %q", name)
-		}
-		if !tw.SameShape(w) {
-			t.Fatalf("param %q shapes differ: %v vs %v", name, tw.Shape, w.Shape)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package params provides a named-tensor store used to move trained
-// weights between the trainer, the inference network and disk (gob
-// encoding). Names follow the "<layer>/<tensor>" convention used by the
-// caps and train packages.
+// Package params provides a named-tensor store that saves a network's
+// trained weights to disk and loads them back (gob encoding). Names follow
+// the "<layer>/<tensor>" convention of caps.Network.Params.
 package params
 
 import (
@@ -35,9 +34,12 @@ func (s *Store) Get(name string) (*tensor.Tensor, bool) {
 }
 
 // Names returns the stored names in sorted order.
-func (s *Store) Names() []string {
-	out := make([]string, 0, len(s.tensors))
-	for k := range s.tensors {
+func (s *Store) Names() []string { return sortedNames(s.tensors) }
+
+// sortedNames returns a tensor map's keys in sorted order.
+func sortedNames(m map[string]*tensor.Tensor) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -59,17 +61,21 @@ func FromParams(params map[string]*tensor.Tensor) *Store {
 
 // LoadInto copies stored values into the destination parameter map. Every
 // destination tensor must have a stored counterpart with an identical
-// shape; extra stored tensors are ignored.
+// shape; extra stored tensors are ignored. All names and shapes are
+// checked before any tensor is copied, so on error every destination is
+// left unchanged.
 func (s *Store) LoadInto(params map[string]*tensor.Tensor) error {
-	for name, dst := range params {
+	for _, name := range sortedNames(params) {
 		src, ok := s.tensors[name]
 		if !ok {
 			return fmt.Errorf("params: missing tensor %q", name)
 		}
-		if !src.SameShape(dst) {
+		if dst := params[name]; !src.SameShape(dst) {
 			return fmt.Errorf("params: shape mismatch for %q: stored %v, want %v", name, src.Shape, dst.Shape)
 		}
-		copy(dst.Data, src.Data)
+	}
+	for name, dst := range params {
+		copy(dst.Data, s.tensors[name].Data)
 	}
 	return nil
 }

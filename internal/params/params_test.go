@@ -67,6 +67,36 @@ func TestLoadIntoShapeMismatch(t *testing.T) {
 	}
 }
 
+func TestLoadIntoFailureLeavesDestinationsUnchanged(t *testing.T) {
+	// A weight cache that is present but unusable must not half-load the
+	// network that is then trained from it: every check runs before any
+	// copy.
+	names := []string{"a/W", "b/W", "c/W", "d/W", "e/W", "f/W"}
+	for _, bad := range []string{"missing", "shape"} {
+		s := NewStore()
+		dst := map[string]*tensor.Tensor{}
+		for i, name := range names {
+			dst[name] = tensor.New(i + 1).Fill(-1)
+			switch {
+			case name != "d/W":
+				s.Put(name, tensor.New(i+1).Fill(7))
+			case bad == "shape":
+				s.Put(name, tensor.New(i+2).Fill(7))
+			}
+		}
+		if err := s.LoadInto(dst); err == nil {
+			t.Fatalf("%s: expected an error", bad)
+		}
+		for name, d := range dst {
+			for _, v := range d.Data {
+				if v != -1 {
+					t.Fatalf("%s: %s was overwritten before the error: %v", bad, name, d.Data)
+				}
+			}
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "weights.gob")

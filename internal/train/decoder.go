@@ -16,7 +16,6 @@ import (
 
 // Dense is a fully-connected trainable layer with an optional activation.
 type Dense struct {
-	LayerName  string
 	W, B       *Param
 	Activation Activation
 
@@ -40,17 +39,14 @@ const (
 func NewDense(name string, in, out int, act Activation, seed uint64) *Dense {
 	w := tensor.New(out, in).FillGlorot(tensor.NewRNG(seed), in, out)
 	return &Dense{
-		LayerName:  name,
 		W:          newParam(name+"/W", w),
 		B:          newParam(name+"/B", tensor.New(out)),
 		Activation: act,
 	}
 }
 
-// Name implements Layer.
-func (l *Dense) Name() string { return l.LayerName }
-
-// Forward implements Layer for a rank-2 input [n, in].
+// Forward computes the layer for a rank-2 input [n, in], caching what
+// Backward needs.
 func (l *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
 	out, in := l.W.W.Shape[0], l.W.W.Shape[1]
@@ -75,7 +71,8 @@ func (l *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-// Backward implements Layer.
+// Backward accumulates the parameter gradients for the output gradient
+// gy of the last Forward and returns the input gradient.
 func (l *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	out, in := l.W.W.Shape[0], l.W.W.Shape[1]
 	n := l.x.Shape[0]
@@ -104,7 +101,7 @@ func (l *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMul(g2, l.W.W)
 }
 
-// Params implements Layer.
+// Params returns the layer's weight and bias.
 func (l *Dense) Params() []*Param { return []*Param{l.W, l.B} }
 
 // Decoder reconstructs the input image from the true class's capsule

@@ -130,18 +130,18 @@ func TestDecoderLossNumericGradient(t *testing.T) {
 func TestFitWithReconstructionStillLearns(t *testing.T) {
 	ds := datasets.MNISTLike(120, 60, 42)
 	ds = filterClasses(ds, 3)
-	m := &Model{ModelName: "tiny", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
-		NewConvCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
-		NewClassCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
-	}}
+	m := model(
+		conv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
+		convCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
+		classCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
+	)
 	dec := NewDecoder(3, 8, 32, 32, 400, 4)
-	res := Fit(m, ds, Config{
+	Fit(m, ds, Config{
 		Epochs: 10, BatchSize: 12, LR: 2e-3, Seed: 7, GradClip: 5,
 		Decoder: dec,
 	})
-	if res.TestAccuracy < 0.7 {
-		t.Fatalf("reconstruction-regularized training failed: %.2f", res.TestAccuracy)
+	if acc := testAccuracy(m, ds); acc < 0.7 {
+		t.Fatalf("reconstruction-regularized training failed: %.2f", acc)
 	}
 	// The decoder must actually reconstruct better than a constant
 	// 0.5 image after training.

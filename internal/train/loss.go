@@ -54,21 +54,3 @@ func MarginLoss(v *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tens
 	grad.ScaleInPlace(inv)
 	return loss, grad
 }
-
-// Predict returns the argmax class (largest capsule norm) for each sample
-// of v [n, classes, dim].
-func Predict(v *tensor.Tensor) []int {
-	norms := tensor.NormAxis(v, 2)
-	n, classes := norms.Shape[0], norms.Shape[1]
-	out := make([]int, n)
-	for b := 0; b < n; b++ {
-		best, arg := norms.At(b, 0), 0
-		for k := 1; k < classes; k++ {
-			if nv := norms.At(b, k); nv > best {
-				best, arg = nv, k
-			}
-		}
-		out[b] = arg
-	}
-	return out
-}

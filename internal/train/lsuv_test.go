@@ -4,23 +4,31 @@ import (
 	"math"
 	"testing"
 
+	"redcane/internal/caps"
+	"redcane/internal/noise"
 	"redcane/internal/tensor"
 )
 
 // deepStack builds a deliberately deep caps stack that collapses without
 // LSUV.
 func deepStack() *Model {
-	layers := []Layer{NewConv2D("Conv2D", 1, 8, 3, 1, 1, true, 1)}
+	layers := []caps.Layer{conv2D("Conv2D", 1, 8, 3, 1, 1, true, 1)}
 	in := 8
 	for i := 1; i <= 6; i++ {
-		layers = append(layers, NewConvCaps2D(layerName(i), in, 2, 4, 3, 1, 1, uint64(i+1)))
+		layers = append(layers, convCaps2D(layerName(i), in, 2, 4, 3, 1, 1, uint64(i+1)))
 		in = 8
 	}
-	return &Model{ModelName: "deep", Layers: layers}
+	return model(layers...)
 }
 
 func layerName(i int) string {
 	return "Caps2D" + string(rune('0'+i))
+}
+
+// macStd reports the std of a layer's MAC outputs site (its pre-activation)
+// in the last Forward.
+func macStd(m *Model, layer string) float64 {
+	return m.site(layer, noise.MACOutputs).Std()
 }
 
 func TestLSUVRestoresSignalPropagation(t *testing.T) {
@@ -34,31 +42,27 @@ func TestLSUVRestoresSignalPropagation(t *testing.T) {
 		t.Fatalf("LSUV did not amplify collapsed activations: %g -> %g", before, after)
 	}
 	// The final layer's pre-activation std must sit near the target.
-	last := m.Layers[len(m.Layers)-1].(*ConvCaps2D)
-	if math.Abs(last.pre.Std()-0.5) > 0.05 {
-		t.Fatalf("final pre-activation std = %g, want ≈0.5", last.pre.Std())
+	if std := macStd(m, layerName(6)); math.Abs(std-0.5) > 0.05 {
+		t.Fatalf("final pre-activation std = %g, want ≈0.5", std)
 	}
 }
 
 func TestLSUVHandlesCells(t *testing.T) {
-	cell := &CapsCell{
+	cell := &caps.CapsCell{
 		CellName: "Cell1",
-		L1:       NewConvCaps2D("Caps2D1", 8, 2, 4, 3, 2, 1, 11),
-		L2:       NewConvCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 12),
-		L3:       NewConvCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 13),
-		Skip:     NewConvCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 14),
+		L1:       convCaps2D("Caps2D1", 8, 2, 4, 3, 2, 1, 11),
+		L2:       convCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 12),
+		L3:       convCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 13),
+		Skip:     convCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 14),
 	}
-	m := &Model{ModelName: "cellnet", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 8, 3, 1, 1, true, 10),
-		cell,
-	}}
+	m := model(conv2D("Conv2D", 1, 8, 3, 1, 1, true, 10), cell)
 	x := tensor.New(4, 1, 8, 8).FillUniform(tensor.NewRNG(15), 0, 1)
 	LSUVInit(m, x, 0.5)
 	// Verify every inner layer was calibrated to a sane band by
 	// re-running the stack and probing pre-activation stds.
 	m.Forward(x)
-	for _, l := range []Layer{cell.L1, cell.L2, cell.L3, cell.Skip} {
-		std := preActStd(l)
+	for _, l := range []caps.Layer{cell.L1, cell.L2, cell.L3, cell.Skip} {
+		std := macStd(m, l.Name())
 		if std < 0.2 || std > 1.0 {
 			t.Fatalf("%s pre-activation std = %g after LSUV", l.Name(), std)
 		}
@@ -66,81 +70,37 @@ func TestLSUVHandlesCells(t *testing.T) {
 }
 
 func TestCapsCellForwardBackwardShapes(t *testing.T) {
-	cell := &CapsCell{
+	cell := &caps.CapsCell{
 		CellName: "Cell1",
-		L1:       NewConvCaps2D("Caps2D1", 4, 2, 4, 3, 2, 1, 21),
-		L2:       NewConvCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 22),
-		L3:       NewConvCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 23),
-		Skip:     NewConvCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 24),
+		L1:       convCaps2D("Caps2D1", 4, 2, 4, 3, 2, 1, 21),
+		L2:       convCaps2D("Caps2D2", 8, 2, 4, 3, 1, 1, 22),
+		L3:       convCaps2D("Caps2D3", 8, 2, 4, 3, 1, 1, 23),
+		Skip:     convCaps2D("Caps2D4", 8, 2, 4, 3, 1, 1, 24),
 	}
-	if cell.Name() != "Cell1" {
-		t.Fatal("cell name")
-	}
+	m := model(cell)
 	x := tensor.New(2, 4, 8, 8).FillNormal(tensor.NewRNG(25), 0, 0.5)
-	y := cell.Forward(x)
+	y := m.Forward(x)
 	if y.Shape[1] != 8 || y.Shape[2] != 4 {
 		t.Fatalf("cell output shape = %v", y.Shape)
 	}
 	gy := tensor.New(y.Shape...).FillNormal(tensor.NewRNG(26), 0, 1)
-	gx := cell.Backward(gy)
+	gx := m.Backward(gy)
 	if !gx.SameShape(x) {
 		t.Fatalf("cell gx shape = %v", gx.Shape)
 	}
-	if len(cell.Params()) != 8 {
-		t.Fatalf("cell params = %d", len(cell.Params()))
+	if len(m.Params()) != 8 {
+		t.Fatalf("cell params = %d", len(m.Params()))
 	}
 }
 
 func TestCapsCellGradientNumeric(t *testing.T) {
-	cell := &CapsCell{
+	m := model(&caps.CapsCell{
 		CellName: "C",
-		L1:       NewConvCaps2D("a", 2, 1, 4, 3, 1, 1, 31),
-		L2:       NewConvCaps2D("b", 4, 1, 4, 3, 1, 1, 32),
-		L3:       NewConvCaps2D("c", 4, 1, 4, 3, 1, 1, 33),
-		Skip:     NewConvCaps2D("d", 4, 1, 4, 3, 1, 1, 34),
-	}
+		L1:       convCaps2D("a", 2, 1, 4, 3, 1, 1, 31),
+		L2:       convCaps2D("b", 4, 1, 4, 3, 1, 1, 32),
+		L3:       convCaps2D("c", 4, 1, 4, 3, 1, 1, 33),
+		Skip:     convCaps2D("d", 4, 1, 4, 3, 1, 1, 34),
+	})
 	x := tensor.New(1, 2, 4, 4).FillNormal(tensor.NewRNG(35), 0, 1)
-	out := cell.Forward(x)
-	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(36), 0, 1)
-	for _, p := range cell.Params() {
-		p.ZeroGrad()
-	}
-	gx := cell.Backward(dir)
-	fw := func() *tensor.Tensor { return cell.Forward(x) }
-	numericCheck(t, "cell/x", fw, x, gx, dir, 1e-4)
-	l1 := cell.L1.(*ConvCaps2D)
-	numericCheck(t, "cell/L1.W", fw, l1.W.W, l1.W.G, dir, 1e-4)
-}
-
-func TestCellBranchMismatchPanics(t *testing.T) {
-	cell := &CapsCell{
-		CellName: "bad",
-		L1:       NewConvCaps2D("a", 2, 2, 4, 3, 2, 1, 41),
-		L2:       NewConvCaps2D("b", 8, 2, 4, 3, 1, 1, 42),
-		L3:       NewConvCaps2D("c", 8, 2, 4, 3, 1, 1, 43),
-		Skip:     NewConvCaps2D("d", 8, 2, 4, 3, 2, 1, 44), // extra stride
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cell.Forward(tensor.New(1, 2, 8, 8).FillNormal(tensor.NewRNG(45), 0, 1))
-}
-
-func TestParamMapAndNames(t *testing.T) {
-	m := &Model{Layers: []Layer{
-		NewConv2D("Conv2D", 1, 2, 3, 1, 1, false, 51),
-		NewConvCaps3D("Caps3D", 2, 1, 2, 2, 3, 1, 1, 2, 52),
-		NewClassCaps("ClassCaps", 4, 2, 2, 4, 2, 53),
-	}}
-	pm := m.ParamMap()
-	for _, want := range []string{"Conv2D/W", "Conv2D/B", "Caps3D/W", "ClassCaps/W"} {
-		if _, ok := pm[want]; !ok {
-			t.Fatalf("ParamMap missing %q: %v", want, pm)
-		}
-	}
-	if m.Layers[1].Name() != "Caps3D" || m.Layers[2].Name() != "ClassCaps" {
-		t.Fatal("layer names wrong")
-	}
+	gradCheck(t, m, x, 36, "a/W")
 }

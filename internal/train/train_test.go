@@ -3,12 +3,103 @@ package train
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"redcane/internal/caps"
 	"redcane/internal/datasets"
+	"redcane/internal/models"
+	"redcane/internal/noise"
 	"redcane/internal/tensor"
 )
+
+// The layer constructors below build Glorot-initialized caps layers, the
+// way models.BuildInference does, for one-layer test networks.
+
+func glorot(seed uint64, fanIn, fanOut int, shape ...int) *tensor.Tensor {
+	return tensor.New(shape...).FillGlorot(tensor.NewRNG(seed), fanIn, fanOut)
+}
+
+func conv2D(name string, inCh, outCh, k, stride, pad int, relu bool, seed uint64) *caps.Conv2D {
+	return &caps.Conv2D{
+		LayerName: name,
+		W:         glorot(seed, inCh*k*k, outCh*k*k, outCh, inCh, k, k),
+		B:         tensor.New(outCh),
+		Stride:    stride, Pad: pad, ReLU: relu,
+	}
+}
+
+func convCaps2D(name string, inCh, nCaps, dim, k, stride, pad int, seed uint64) *caps.ConvCaps2D {
+	return &caps.ConvCaps2D{
+		LayerName: name, Caps: nCaps, Dim: dim,
+		W:      glorot(seed, inCh*k*k, nCaps*dim*k*k, nCaps*dim, inCh, k, k),
+		B:      tensor.New(nCaps * dim),
+		Stride: stride, Pad: pad,
+	}
+}
+
+func convCaps3D(name string, inCaps, inDim, outCaps, outDim, k, stride, pad, iters int, seed uint64) *caps.ConvCaps3D {
+	return &caps.ConvCaps3D{
+		LayerName: name, InCaps: inCaps, InDim: inDim, OutCaps: outCaps, OutDim: outDim,
+		W:      glorot(seed, inDim*k*k, outCaps*outDim*k*k, inCaps, outCaps*outDim, inDim, k, k),
+		Stride: stride, Pad: pad, RoutingIterations: iters,
+	}
+}
+
+func classCaps(name string, inCaps, inDim, outCaps, outDim, iters int, seed uint64) *caps.ClassCaps {
+	return &caps.ClassCaps{
+		LayerName: name, InCaps: inCaps, InDim: inDim, OutCaps: outCaps, OutDim: outDim,
+		W:                 glorot(seed, inDim, outDim, inCaps, outCaps, outDim, inDim),
+		RoutingIterations: iters,
+	}
+}
+
+// model wraps a network of the given layers for training.
+func model(layers ...caps.Layer) *Model {
+	return NewModel(&caps.Network{NetName: "test", Layers: layers})
+}
+
+// gradCheck runs one forward and backward pass of m on x along a random
+// output direction and checks the input gradient and the gradients of the
+// named parameters against central differences.
+func gradCheck(t *testing.T, m *Model, x *tensor.Tensor, seed uint64, params ...string) {
+	t.Helper()
+	out := m.Forward(x)
+	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(seed), 0, 1)
+	m.ZeroGrad()
+	gx := m.Backward(dir)
+	fw := func() *tensor.Tensor { return m.Forward(x) }
+	numericCheck(t, "x", fw, x, gx, dir, 1e-4)
+	for _, name := range params {
+		p := param(t, m, name)
+		numericCheck(t, name, fw, p.W, p.G, dir, 1e-4)
+	}
+}
+
+// param returns the model's parameter with the given name.
+func param(t *testing.T, m *Model, name string) *Param {
+	t.Helper()
+	for _, p := range m.Params() {
+		if p.Name == name {
+			return p
+		}
+	}
+	t.Fatalf("no parameter %q", name)
+	return nil
+}
+
+// testAccuracy classifies the test split with the trained network.
+func testAccuracy(m *Model, ds *datasets.Dataset) float64 {
+	pred := m.Net.ClassifyFromExec(0, ds.TestX, noise.None{}, nil, caps.Float{})
+	correct := 0
+	for i, p := range pred {
+		if p == ds.TestY[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(pred))
+}
 
 // numericCheck verifies an analytic gradient against central differences
 // for a scalar objective sum(out · dir).
@@ -34,60 +125,89 @@ func numericCheck(t *testing.T, name string, forward func() *tensor.Tensor, targ
 }
 
 func TestConv2DLayerGradients(t *testing.T) {
-	l := NewConv2D("c", 2, 3, 3, 1, 1, true, 1)
+	m := model(conv2D("c", 2, 3, 3, 1, 1, true, 1))
 	x := tensor.New(2, 2, 5, 5).FillNormal(tensor.NewRNG(2), 0, 1)
-	out := l.Forward(x)
-	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(3), 0, 1)
-	l.W.ZeroGrad()
-	l.B.ZeroGrad()
-	gx := l.Backward(dir)
-
-	fw := func() *tensor.Tensor { return l.Forward(x) }
-	numericCheck(t, "conv/x", fw, x, gx, dir, 1e-4)
-	numericCheck(t, "conv/W", fw, l.W.W, l.W.G, dir, 1e-4)
-	numericCheck(t, "conv/B", fw, l.B.W, l.B.G, dir, 1e-4)
+	gradCheck(t, m, x, 3, "c/W", "c/B")
 }
 
 func TestConvCaps2DLayerGradients(t *testing.T) {
-	l := NewConvCaps2D("cc", 2, 2, 4, 3, 2, 1, 4)
+	m := model(convCaps2D("cc", 2, 2, 4, 3, 2, 1, 4))
 	x := tensor.New(1, 2, 6, 6).FillNormal(tensor.NewRNG(5), 0, 1)
-	out := l.Forward(x)
-	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(6), 0, 1)
-	l.W.ZeroGrad()
-	l.B.ZeroGrad()
-	gx := l.Backward(dir)
-
-	fw := func() *tensor.Tensor { return l.Forward(x) }
-	numericCheck(t, "caps2d/x", fw, x, gx, dir, 1e-4)
-	numericCheck(t, "caps2d/W", fw, l.W.W, l.W.G, dir, 1e-4)
+	gradCheck(t, m, x, 6, "cc/W")
 }
 
 func TestClassCapsGradientsStraightThrough(t *testing.T) {
 	// With a single routing iteration the coupling coefficients are
 	// constants (uniform), so the straight-through gradient is exact.
-	l := NewClassCaps("cls", 6, 4, 3, 4, 1, 7)
+	m := model(classCaps("cls", 6, 4, 3, 4, 1, 7))
 	x := tensor.New(2, 6, 4).FillNormal(tensor.NewRNG(8), 0, 1)
-	out := l.Forward(x)
-	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(9), 0, 1)
-	l.W.ZeroGrad()
-	gx := l.Backward(dir)
-
-	fw := func() *tensor.Tensor { return l.Forward(x) }
-	numericCheck(t, "classcaps/x", fw, x, gx, dir, 1e-4)
-	numericCheck(t, "classcaps/W", fw, l.W.W, l.W.G, dir, 1e-4)
+	gradCheck(t, m, x, 9, "cls/W")
 }
 
 func TestConvCaps3DGradientsStraightThrough(t *testing.T) {
-	l := NewConvCaps3D("c3d", 2, 4, 2, 4, 3, 1, 1, 1, 10)
+	m := model(convCaps3D("c3d", 2, 4, 2, 4, 3, 1, 1, 1, 10))
 	x := tensor.New(1, 8, 4, 4).FillNormal(tensor.NewRNG(11), 0, 1)
-	out := l.Forward(x)
-	dir := tensor.New(out.Shape...).FillNormal(tensor.NewRNG(12), 0, 1)
-	l.W.ZeroGrad()
-	gx := l.Backward(dir)
+	gradCheck(t, m, x, 12, "c3d/W")
+}
 
-	fw := func() *tensor.Tensor { return l.Forward(x) }
-	numericCheck(t, "caps3d/x", fw, x, gx, dir, 1e-4)
-	numericCheck(t, "caps3d/W", fw, l.W.W, l.W.G, dir, 1e-4)
+func TestModelIsTheNetwork(t *testing.T) {
+	// The analyzed network is the trained one: the model's parameters are
+	// the network's own tensors, listed in forward order with cell
+	// branches as L1, L2, L3, Skip and W before B, and the model's
+	// forward pass computes the network's.
+	for _, c := range []struct {
+		spec models.Spec
+		want []string // parameter layers in order
+	}{
+		{models.CapsNet([]int{1, 20, 20}, 4), []string{"Conv2D", "Primary", "ClassCaps"}},
+		{models.DeepCaps([]int{3, 16, 16}, 4), deepCapsOrder()},
+	} {
+		net, err := models.BuildInference(c.spec, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewModel(net)
+		var got []string
+		np := net.Params()
+		for _, p := range m.Params() {
+			if np[p.Name] != p.W {
+				t.Fatalf("%s: parameter %s is not the network's tensor", c.spec.Name, p.Name)
+			}
+			got = append(got, p.Name)
+		}
+		var want []string
+		for _, l := range c.want {
+			want = append(want, l+"/W")
+			if l != "Caps3D" && l != "ClassCaps" {
+				want = append(want, l+"/B")
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || len(np) != len(want) {
+			t.Fatalf("%s: parameters %v, want %v (network has %d)", c.spec.Name, got, want, len(np))
+		}
+
+		x := tensor.New(2, c.spec.InputShape[0], c.spec.InputShape[1], c.spec.InputShape[2]).
+			FillUniform(tensor.NewRNG(11), 0, 1)
+		wantOut := net.Forward(x, noise.None{})
+		gotOut := m.Forward(x)
+		if !wantOut.SameShape(gotOut) {
+			t.Fatalf("%s: shapes %v vs %v", c.spec.Name, gotOut.Shape, wantOut.Shape)
+		}
+		for i := range wantOut.Data {
+			if math.Abs(wantOut.Data[i]-gotOut.Data[i]) > 1e-9 {
+				t.Fatalf("%s: output[%d] = %g (model) vs %g (network)", c.spec.Name, i, gotOut.Data[i], wantOut.Data[i])
+			}
+		}
+	}
+}
+
+// deepCapsOrder lists DeepCaps' weighted layers in parameter order.
+func deepCapsOrder() []string {
+	out := []string{"Conv2D"}
+	for i := 1; i <= 15; i++ {
+		out = append(out, fmt.Sprintf("Caps2D%d", i))
+	}
+	return append(out, "Caps3D", "ClassCaps")
 }
 
 func TestMarginLossValueAndGradient(t *testing.T) {
@@ -134,16 +254,6 @@ func TestMarginLossGradientNumeric(t *testing.T) {
 	}
 }
 
-func TestPredictPicksLargestNorm(t *testing.T) {
-	v := tensor.New(2, 3, 2)
-	v.Set(0.9, 0, 1, 0) // sample 0 → class 1
-	v.Set(0.8, 1, 2, 1) // sample 1 → class 2
-	preds := Predict(v)
-	if preds[0] != 1 || preds[1] != 2 {
-		t.Fatalf("Predict = %v", preds)
-	}
-}
-
 func TestSGDStepDirection(t *testing.T) {
 	p := newParam("p", tensor.NewFrom([]float64{1, 1}, 2))
 	p.G.Data[0] = 2
@@ -181,8 +291,8 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	x := tensor.New(2, 8, 3, 3).FillNormal(tensor.NewRNG(14), 0, 1)
-	flat := FlattenToCaps(x, 2*3*3, 4)
-	back := UnflattenFromCaps(flat, x.Shape, 4)
+	flat := caps.FlattenToCaps(x, 2*3*3, 4)
+	back := unflattenFromCaps(flat, x.Shape, 4)
 	for i := range x.Data {
 		if math.Abs(back.Data[i]-x.Data[i]) > 1e-15 {
 			t.Fatal("flatten/unflatten not inverse")
@@ -215,14 +325,14 @@ func TestFitLearnsTinyProblem(t *testing.T) {
 	ds := datasets.MNISTLike(120, 60, 42)
 	// Reduce to 3 classes for speed.
 	ds = filterClasses(ds, 3)
-	m := &Model{ModelName: "tiny", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
-		NewConvCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
-		NewClassCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
-	}}
+	m := model(
+		conv2D("Conv2D", 1, 8, 9, 1, 0, true, 1),
+		convCaps2D("Primary", 8, 4, 8, 9, 2, 0, 2),
+		classCaps("ClassCaps", 4*2*2, 8, 3, 8, 3, 3),
+	)
 	res := Fit(m, ds, Config{Epochs: 12, BatchSize: 12, LR: 2e-3, Seed: 7, GradClip: 5})
-	if res.TestAccuracy < 0.7 {
-		t.Fatalf("tiny CapsNet failed to learn: test acc %.2f, loss %.4f", res.TestAccuracy, res.FinalLoss)
+	if acc := testAccuracy(m, ds); acc < 0.7 {
+		t.Fatalf("tiny CapsNet failed to learn: test acc %.2f, loss %.4f", acc, res.FinalLoss)
 	}
 }
 
@@ -256,10 +366,10 @@ func filterClasses(d *datasets.Dataset, k int) *datasets.Dataset {
 func TestFitCtxCancellation(t *testing.T) {
 	ds := datasets.MNISTLike(60, 20, 42)
 	ds = filterClasses(ds, 3)
-	m := &Model{ModelName: "tiny", Layers: []Layer{
-		NewConv2D("Conv2D", 1, 4, 9, 2, 0, true, 1),
-		NewClassCaps("ClassCaps", 4*6*6/4, 4, 3, 6, 3, 3),
-	}}
+	m := model(
+		conv2D("Conv2D", 1, 4, 9, 2, 0, true, 1),
+		classCaps("ClassCaps", 4*6*6/4, 4, 3, 6, 3, 3),
+	)
 
 	// A pre-cancelled context stops before the first batch.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -27,15 +27,15 @@ type Config struct {
 	ReconWeight float64
 }
 
-// Result summarizes a training run.
+// Result summarizes a training run. Accuracy is measured on the trained
+// network itself, e.g. by core.Analyzer.Evaluate.
 type Result struct {
-	FinalLoss     float64
-	TrainAccuracy float64
-	TestAccuracy  float64
-	Epochs        int
+	FinalLoss float64
+	Epochs    int
 }
 
-// Fit trains the model on the dataset with Adam and the margin loss.
+// Fit trains the model's network in place on the dataset with Adam and
+// the margin loss.
 func Fit(m *Model, ds *datasets.Dataset, cfg Config) Result {
 	res, err := FitCtx(context.Background(), m, ds, cfg)
 	if err != nil {
@@ -70,6 +70,10 @@ func FitCtx(ctx context.Context, m *Model, ds *datasets.Dataset, cfg Config) (Re
 	for i := range order {
 		order[i] = i
 	}
+	params := m.Params()
+	if cfg.Decoder != nil {
+		params = append(params, cfg.Decoder.Params()...)
+	}
 
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -95,7 +99,6 @@ func FitCtx(ctx context.Context, m *Model, ds *datasets.Dataset, cfg Config) (Re
 			m.ZeroGrad()
 			out := m.Forward(xb)
 			loss, grad := MarginLoss(out, yb)
-			params := m.Params()
 			if cfg.Decoder != nil {
 				cfg.Decoder.ZeroGrad()
 				recon := cfg.Decoder.Reconstruct(out, yb)
@@ -103,7 +106,6 @@ func FitCtx(ctx context.Context, m *Model, ds *datasets.Dataset, cfg Config) (Re
 				rl, gv := cfg.Decoder.Loss(recon, flat, yb, cfg.ReconWeight/float64(sample))
 				loss += rl
 				grad.AddInPlace(gv)
-				params = append(params, cfg.Decoder.Params()...)
 			}
 			m.Backward(grad)
 			if cfg.GradClip > 0 {
@@ -118,12 +120,7 @@ func FitCtx(ctx context.Context, m *Model, ds *datasets.Dataset, cfg Config) (Re
 			fmt.Fprintf(cfg.Log, "epoch %d/%d: loss=%.4f\n", epoch+1, cfg.Epochs, lastLoss)
 		}
 	}
-	return Result{
-		FinalLoss:     lastLoss,
-		TrainAccuracy: Evaluate(m, ds.TrainX, ds.TrainY, cfg.BatchSize),
-		TestAccuracy:  Evaluate(m, ds.TestX, ds.TestY, cfg.BatchSize),
-		Epochs:        cfg.Epochs,
-	}, nil
+	return Result{FinalLoss: lastLoss, Epochs: cfg.Epochs}, nil
 }
 
 // clipGrads rescales all gradients so their global L2 norm is at most c.
@@ -141,32 +138,4 @@ func clipGrads(params []*Param, c float64) {
 	for _, p := range params {
 		p.G.ScaleInPlace(scale)
 	}
-}
-
-// Evaluate computes classification accuracy of the training model.
-func Evaluate(m *Model, x *tensor.Tensor, labels []int, batch int) float64 {
-	n := x.Shape[0]
-	if n == 0 {
-		return 0
-	}
-	if batch <= 0 {
-		batch = 32
-	}
-	sample := x.Len() / n
-	correct := 0
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		shape := append([]int{hi - lo}, x.Shape[1:]...)
-		xb := tensor.NewFrom(x.Data[lo*sample:hi*sample], shape...)
-		preds := Predict(m.Forward(xb))
-		for i, p := range preds {
-			if p == labels[lo+i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(n)
 }
