@@ -104,3 +104,33 @@ func TestCapsCellGradientNumeric(t *testing.T) {
 	x := tensor.New(1, 2, 4, 4).FillNormal(tensor.NewRNG(35), 0, 1)
 	gradCheck(t, m, x, 36, "a/W")
 }
+
+func TestParamMapAndNames(t *testing.T) {
+	// The parameters are the layers' own tensors, named <layer>/W and
+	// <layer>/B as in caps.Network.Params, in layer order with W before B,
+	// each with a gradient of its own shape.
+	conv := conv2D("Conv2D", 1, 2, 3, 1, 1, false, 51)
+	c3d := convCaps3D("Caps3D", 2, 1, 2, 2, 3, 1, 1, 2, 52)
+	cls := classCaps("ClassCaps", 4, 2, 2, 4, 2, 53)
+	m := model(conv, c3d, cls)
+	want := []struct {
+		name string
+		w    *tensor.Tensor
+	}{{"Conv2D/W", conv.W}, {"Conv2D/B", conv.B}, {"Caps3D/W", c3d.W}, {"ClassCaps/W", cls.W}}
+	ps := m.Params()
+	if len(ps) != len(want) {
+		t.Fatalf("%d parameters, want %d", len(ps), len(want))
+	}
+	np := m.Net.Params()
+	for i, p := range ps {
+		if p.Name != want[i].name || p.W != want[i].w || np[p.Name] != p.W {
+			t.Fatalf("parameter %d is %s, want the layer tensor %s", i, p.Name, want[i].name)
+		}
+		if !p.G.SameShape(p.W) {
+			t.Fatalf("%s: gradient shape %v, weight %v", p.Name, p.G.Shape, p.W.Shape)
+		}
+	}
+	if m.Net.Layers[1].Name() != "Caps3D" || m.Net.Layers[2].Name() != "ClassCaps" {
+		t.Fatal("layer names wrong")
+	}
+}

@@ -3,13 +3,11 @@ package train
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 
 	"redcane/internal/caps"
 	"redcane/internal/datasets"
-	"redcane/internal/models"
 	"redcane/internal/noise"
 	"redcane/internal/tensor"
 )
@@ -148,66 +146,6 @@ func TestConvCaps3DGradientsStraightThrough(t *testing.T) {
 	m := model(convCaps3D("c3d", 2, 4, 2, 4, 3, 1, 1, 1, 10))
 	x := tensor.New(1, 8, 4, 4).FillNormal(tensor.NewRNG(11), 0, 1)
 	gradCheck(t, m, x, 12, "c3d/W")
-}
-
-func TestModelIsTheNetwork(t *testing.T) {
-	// The analyzed network is the trained one: the model's parameters are
-	// the network's own tensors, listed in forward order with cell
-	// branches as L1, L2, L3, Skip and W before B, and the model's
-	// forward pass computes the network's.
-	for _, c := range []struct {
-		spec models.Spec
-		want []string // parameter layers in order
-	}{
-		{models.CapsNet([]int{1, 20, 20}, 4), []string{"Conv2D", "Primary", "ClassCaps"}},
-		{models.DeepCaps([]int{3, 16, 16}, 4), deepCapsOrder()},
-	} {
-		net, err := models.BuildInference(c.spec, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewModel(net)
-		var got []string
-		np := net.Params()
-		for _, p := range m.Params() {
-			if np[p.Name] != p.W {
-				t.Fatalf("%s: parameter %s is not the network's tensor", c.spec.Name, p.Name)
-			}
-			got = append(got, p.Name)
-		}
-		var want []string
-		for _, l := range c.want {
-			want = append(want, l+"/W")
-			if l != "Caps3D" && l != "ClassCaps" {
-				want = append(want, l+"/B")
-			}
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) || len(np) != len(want) {
-			t.Fatalf("%s: parameters %v, want %v (network has %d)", c.spec.Name, got, want, len(np))
-		}
-
-		x := tensor.New(2, c.spec.InputShape[0], c.spec.InputShape[1], c.spec.InputShape[2]).
-			FillUniform(tensor.NewRNG(11), 0, 1)
-		wantOut := net.Forward(x, noise.None{})
-		gotOut := m.Forward(x)
-		if !wantOut.SameShape(gotOut) {
-			t.Fatalf("%s: shapes %v vs %v", c.spec.Name, gotOut.Shape, wantOut.Shape)
-		}
-		for i := range wantOut.Data {
-			if math.Abs(wantOut.Data[i]-gotOut.Data[i]) > 1e-9 {
-				t.Fatalf("%s: output[%d] = %g (model) vs %g (network)", c.spec.Name, i, gotOut.Data[i], wantOut.Data[i])
-			}
-		}
-	}
-}
-
-// deepCapsOrder lists DeepCaps' weighted layers in parameter order.
-func deepCapsOrder() []string {
-	out := []string{"Conv2D"}
-	for i := 1; i <= 15; i++ {
-		out = append(out, fmt.Sprintf("Caps2D%d", i))
-	}
-	return append(out, "Caps3D", "ClassCaps")
 }
 
 func TestMarginLossValueAndGradient(t *testing.T) {
