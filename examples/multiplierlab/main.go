@@ -39,7 +39,7 @@ func main() {
 	fmt.Println("\n9-MAC accumulated error histogram:")
 	fmt.Print(p9.Hist.Render(40))
 
-	fmt.Printf("\nMRED: %.4f\n", approx.MeanRelativeErrorDistance(custom))
+	fmt.Printf("\nMRED: %.4f\n", approx.Measure(custom).MRED)
 
 	// Where would it slot into the library (by noise magnitude)? One
 	// call scores the library and the custom design on one operand stream.

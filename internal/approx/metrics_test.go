@@ -52,10 +52,3 @@ func TestMeasureOrderingAcrossLibrary(t *testing.T) {
 		t.Fatal("library MAE ordering broken")
 	}
 }
-
-func TestMeasureMatchesMRED(t *testing.T) {
-	m := DRUM{K: 4}
-	if got, want := Measure(m).MRED, MeanRelativeErrorDistance(m); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MRED mismatch: %g vs %g", got, want)
-	}
-}

@@ -14,10 +14,7 @@
 // distribution, so this substitution preserves the analysis (DESIGN.md §2).
 package approx
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Multiplier is a behavioral 8×8→16-bit unsigned multiplier.
 // Implementations must be pure functions of their inputs.
@@ -214,18 +211,4 @@ func mitchellExp(l uint32) uint32 {
 // the exact product (paper Eq. 2).
 func ErrorOf(m Multiplier, a, b uint8) float64 {
 	return float64(m.Mul(a, b)) - float64(uint16(a)*uint16(b))
-}
-
-// MeanRelativeErrorDistance returns the mean of |ΔP| / max(1, P) over all
-// 65536 input pairs — the standard MRED circuit-quality metric.
-func MeanRelativeErrorDistance(m Multiplier) float64 {
-	var sum float64
-	for a := 0; a < 256; a++ {
-		for b := 0; b < 256; b++ {
-			p := float64(a * b)
-			d := math.Abs(float64(m.Mul(uint8(a), uint8(b))) - p)
-			sum += d / math.Max(1, p)
-		}
-	}
-	return sum / 65536
 }

@@ -151,13 +151,13 @@ func TestZeroInputAlwaysZeroOrSmall(t *testing.T) {
 
 func TestMREDOrderingTracksAggressiveness(t *testing.T) {
 	// Within one structural family, more dropped bits means more error.
-	if MeanRelativeErrorDistance(ProductTrunc{Bits: 3}) >= MeanRelativeErrorDistance(ProductTrunc{Bits: 6}) {
+	if Measure(ProductTrunc{Bits: 3}).MRED >= Measure(ProductTrunc{Bits: 6}).MRED {
 		t.Fatal("ptrunc MRED not monotone in bits")
 	}
-	if MeanRelativeErrorDistance(BrokenCarry{Depth: 4}) >= MeanRelativeErrorDistance(BrokenCarry{Depth: 8}) {
+	if Measure(BrokenCarry{Depth: 4}).MRED >= Measure(BrokenCarry{Depth: 8}).MRED {
 		t.Fatal("broken-array MRED not monotone in depth")
 	}
-	if MeanRelativeErrorDistance(DRUM{K: 6}) >= MeanRelativeErrorDistance(DRUM{K: 3}) {
+	if Measure(DRUM{K: 6}).MRED >= Measure(DRUM{K: 3}).MRED {
 		t.Fatal("DRUM MRED not monotone in kept bits")
 	}
 }

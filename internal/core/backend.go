@@ -44,11 +44,10 @@ func DesignBackend(choices []Choice, bits uint) (caps.Backend, error) {
 
 // EvalBackend measures test accuracy under the given execution backend:
 // a noiseless Evaluate under a backend.eval span. The exact prefix before
-// the backend's first approximate layer is computed once per window and
-// replayed, and with a non-nil a.Checkpoint the per-window correct-counts
-// persist under the given section key so an interrupted evaluation
-// resumes where it left off. Distinct backends must use distinct section
-// keys. With probes on, a named evaluation's record compares against the
+// the backend's first approximate layer is computed once and replayed,
+// and with a non-nil a.Checkpoint the correct-counts persist under the
+// given section key so a rerun skips the finished evaluation. Distinct
+// backends must use distinct section keys. With probes on, a named evaluation's record compares against the
 // backend's exact baseline (caps.Backend.ExactBaseline).
 func (a *Analyzer) EvalBackend(ctx context.Context, be caps.Backend, section string) (float64, error) {
 	p, err := a.evalPlan(section, be, nil)

@@ -155,15 +155,15 @@ func TestEvaluateMatchesSerialOracle(t *testing.T) {
 		t.Fatal("injector had no effect; the invariance check is vacuous")
 	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, mb := range []int{256, -1} {
+		for _, wb := range []int{0, 1} {
 			b := derived(t)
-			b.Opts.Workers, b.Opts.PrefixCacheMB = workers, mb
+			b.Opts.Workers, b.windowBatches = workers, wb
 			got, err := b.Evaluate(context.Background(), nil, macNoise(b, 0.3), "")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("workers=%d PrefixCacheMB=%d: accuracy %g != serial oracle %g", workers, mb, got, want)
+				t.Fatalf("workers=%d windowBatches=%d: accuracy %g != serial oracle %g", workers, wb, got, want)
 			}
 		}
 	}
@@ -293,7 +293,6 @@ func TestEvalBackendResumeMatchesUninterrupted(t *testing.T) {
 	const section = "validate-test"
 
 	want := derived(t)
-	want.Opts.PrefixCacheMB = -1
 	be := designBackend(t, want)
 	wantAcc, err := want.EvalBackend(context.Background(), be, section)
 	if err != nil {
@@ -301,7 +300,7 @@ func TestEvalBackendResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	a := derived(t)
-	a.Opts.PrefixCacheMB = -1
+	a.windowBatches = 1 // single-batch windows: a checkpoint after every batch
 	st, resumed := resumeStore(t, dir, a.Opts)
 	if resumed {
 		t.Fatal("fresh store reported resumed")
@@ -318,7 +317,6 @@ func TestEvalBackendResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	b := derived(t)
-	b.Opts.PrefixCacheMB = -1
 	b.Obs = obs.New(obs.Off, nil)
 	st2, resumed := resumeStore(t, dir, b.Opts)
 	if !resumed {

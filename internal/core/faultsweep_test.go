@@ -64,14 +64,13 @@ func TestFaultSweepCheckpointResumeByteIdentical(t *testing.T) {
 		const clean, seedBase = 0.9, 13
 
 		want := faultAnalyzer(t, spec)
-		want.Opts.PrefixCacheMB = -1
 		wantPts, err := want.sweepScoped(context.Background(), scope, clean, seedBase)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		a := faultAnalyzer(t, spec)
-		a.Opts.PrefixCacheMB = -1
+		a.windowBatches = 1 // single-batch windows: a checkpoint after every batch
 		st, _ := resumeStore(t, dir, a.Opts)
 		a.Checkpoint = st
 		ctx, cancel := context.WithCancel(context.Background())
@@ -85,7 +84,6 @@ func TestFaultSweepCheckpointResumeByteIdentical(t *testing.T) {
 		}
 
 		b := faultAnalyzer(t, spec)
-		b.Opts.PrefixCacheMB = -1
 		b.Obs = obs.New(obs.Off, nil)
 		st2, resumed := resumeStore(t, dir, b.Opts)
 		if !resumed {

@@ -15,12 +15,12 @@ import (
 // batch) — no state flows between jobs — so any process that can rebuild
 // the network and evaluation split can compute any batch window's counts
 // bit-identically. A Fleet is the remote window source of the engine's
-// one fold: it hands contiguous batch windows to such processes, which
-// evaluate them through EvalWindow, and streams their per-(point, trial)
-// counts back; the fold takes them in any order and folds them in
-// ascending window order through the same checkpoint the local worker
-// pool feeds, which is what makes an N-worker fleet's artifacts
-// byte-identical to a single-process run.
+// one fold: it leases the sweep's batches, one per window, to such
+// processes, which evaluate them through EvalWindow, and streams their
+// per-(point, trial) counts back; the fold takes them in any order and
+// folds them in ascending window order through the same checkpoint the
+// local worker pool feeds, which is what makes an N-worker fleet's
+// artifacts byte-identical to a single-process run.
 
 // SweepScope names a sweep's site filter in wire-friendly form: the
 // Table III group plus, for layer-wise sweeps, the layer. It is the
@@ -61,6 +61,15 @@ func (s SweepScope) String() string {
 	return s.Group
 }
 
+// probeLabel names the scope's probe record: "groups/<group>" or
+// "layers/<layer>/<group>".
+func (s SweepScope) probeLabel() string {
+	if s.Layer != "" {
+		return "layers/" + s.String()
+	}
+	return "groups/" + s.String()
+}
+
 // SweepJob describes one sweep for remote execution. Everything a worker
 // needs to reproduce a window bit-identically travels here: the scope,
 // the seed namespace, and the results-affecting options. Evals and NB are
@@ -84,8 +93,6 @@ type SweepJob struct {
 	// correct counts (the last batch is usually short of Opts.Batch); the
 	// coordinator uses it to reject impossible completions.
 	Examples int `json:"examples"`
-	// Window is the lease granularity in batches (>= 1).
-	Window int `json:"window"`
 }
 
 // WindowResult is one completed batch window [B0, B1): the per-(point,
@@ -142,33 +149,34 @@ func (a *Analyzer) SweepGrid() (evals, nb int) {
 	return len(sweepEvals(o)), (n + o.Batch - 1) / o.Batch
 }
 
-// sweepScoped runs one named sweep: through the fleet when the analyzer
-// has one, locally otherwise. Only the named group/layer sweeps of the
-// methodology can be distributed, because only they have
-// wire-representable scopes. Both sources feed the same fold and
-// checkpoint section, so a fleet run resumes a local checkpoint and vice
-// versa.
+// sweepScoped runs one named sweep of the methodology: one plan,
+// probe-labelled by its scope, folded through the fleet when the analyzer
+// has one and locally otherwise. Only these sweeps can be distributed,
+// because only they have wire-representable scopes. Both sources feed
+// the same fold and checkpoint section, so a fleet run resumes a local
+// checkpoint and vice versa.
 func (a *Analyzer) sweepScoped(ctx context.Context, scope SweepScope, clean float64, seedBase uint64) ([]SweepPoint, error) {
 	filter, err := scope.Filter()
 	if err != nil {
 		return nil, err
 	}
+	p, err := a.sweepPlan(filter, seedBase)
+	if err != nil {
+		return nil, err
+	}
+	p.label = scope.probeLabel()
 	if a.Fleet == nil {
-		return a.Sweep(ctx, filter, clean, seedBase)
+		return a.foldPoints(ctx, p, a.runLocal, clean)
 	}
 	if a.Probes != nil {
 		// Probe recorders live on the workers' passes and never travel the
 		// wire; a distributed sweep records no probe stats.
 		a.Obs.Warn("probes are not collected over a fleet", obs.F("sweep", scope.String()))
 	}
-	p, err := a.sweepPlan(filter, seedBase)
-	if err != nil {
-		return nil, err
-	}
-	correct, err := a.fold(ctx, p, func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
+	return a.foldPoints(ctx, p, func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
 		job := SweepJob{
 			Key: p.key, SeedBase: p.seedBase, Scope: scope,
-			Opts: a.Opts, Evals: len(p.evals), NB: p.nb, Examples: p.n, Window: 1,
+			Opts: a.Opts, Evals: len(p.evals), NB: p.nb, Examples: p.n,
 		}
 		a.Obs.Info("sweep distributed to fleet",
 			obs.F("sweep", p.key), obs.F("scope", scope.String()),
@@ -185,9 +193,5 @@ func (a *Analyzer) sweepScoped(ctx context.Context, scope SweepScope, clean floa
 			emit(res, nil)
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assemblePoints(a.Opts, correct, clean, p.n), nil
+	}, clean)
 }

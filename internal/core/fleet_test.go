@@ -10,10 +10,11 @@ import (
 	"redcane/internal/obs"
 )
 
-// stubFleet is an in-process Fleet: it evaluates every window through a
-// second analyzer's EvalWindow — the exact code path a remote worker
-// runs — and can deliver the results out of order or stop short, which
-// is how the coordinator's fold loop gets exercised without HTTP.
+// stubFleet is an in-process Fleet: like the server's FleetManager it
+// cuts the sweep into one-batch windows, evaluates each through a second
+// analyzer's EvalWindow — the exact code path a remote worker runs — and
+// can deliver the results out of order or stop short, which is how the
+// coordinator's fold loop gets exercised without HTTP.
 type stubFleet struct {
 	worker  *Analyzer
 	reverse bool // deliver windows in descending order
@@ -26,17 +27,13 @@ type stubFleet struct {
 func (f *stubFleet) RunSweep(ctx context.Context, job SweepJob, start int) (<-chan WindowResult, error) {
 	f.gotStart = start
 	var results []WindowResult
-	for b0 := start; b0 < job.NB; b0 += job.Window {
-		b1 := b0 + job.Window
-		if b1 > job.NB {
-			b1 = job.NB
-		}
+	for b := start; b < job.NB; b++ {
 		f.worker.Opts = job.Opts
-		correct, err := f.worker.EvalWindow(ctx, job.Scope, job.SeedBase, b0, b1)
+		correct, err := f.worker.EvalWindow(ctx, job.Scope, job.SeedBase, b, b+1)
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, WindowResult{B0: b0, B1: b1, Correct: correct})
+		results = append(results, WindowResult{B0: b, B1: b + 1, Correct: correct})
 	}
 	if f.reverse {
 		for i, j := 0, len(results)-1; i < j; i, j = i+1, j-1 {
@@ -154,14 +151,13 @@ func TestFleetSweepResumesLocalCheckpoint(t *testing.T) {
 	const clean, seedBase = 0.9, 9
 
 	want := derived(t)
-	want.Opts.PrefixCacheMB = -1
 	wantPts, err := want.sweepScoped(context.Background(), scope, clean, seedBase)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	a := derived(t)
-	a.Opts.PrefixCacheMB = -1 // single-batch windows: checkpoint after batch 1
+	a.windowBatches = 1 // single-batch windows: a checkpoint after every batch
 	st, _ := resumeStore(t, dir, a.Opts)
 	a.Checkpoint = st
 	ctx, cancel := context.WithCancel(context.Background())
@@ -176,7 +172,6 @@ func TestFleetSweepResumesLocalCheckpoint(t *testing.T) {
 
 	fl := &stubFleet{worker: derived(t)}
 	b := derived(t)
-	b.Opts.PrefixCacheMB = -1
 	b.Obs = obs.New(obs.Off, nil)
 	st2, resumed := resumeStore(t, dir, b.Opts)
 	if !resumed {
@@ -196,7 +191,6 @@ func TestFleetSweepResumesLocalCheckpoint(t *testing.T) {
 	// And back the other way: a local analyzer finishes instantly from the
 	// fleet-written checkpoint, scheduling nothing.
 	c := derived(t)
-	c.Opts.PrefixCacheMB = -1
 	c.Obs = obs.New(obs.Off, nil)
 	st3, _ := resumeStore(t, dir, c.Opts)
 	c.Checkpoint = st3

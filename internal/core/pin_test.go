@@ -17,7 +17,7 @@ import (
 
 // Recorded digests of the pinned runs below. The sweep digests hold for
 // both window layouts: probe stats merge in one fixed job order over the
-// whole sweep, so PrefixCacheMB changes no byte.
+// whole sweep, so splitting a fold into windows changes no byte.
 const (
 	pinSoftmaxSweep = "a36d48124b46990ca3ee188cd6530b84c5fb9ace1b1ec50ecd6b6b1952856145"
 	pinMACSweep     = "d86efd3bf091ae83bbcc821669670faaad4d459aa444cb4ee871bcbb709bdbab"
@@ -49,26 +49,26 @@ func TestEngineDigestsPinned(t *testing.T) {
 	design := func(a *Analyzer) caps.Backend { return designBackend(t, a) }
 	cases := []struct {
 		name string
-		mb   int // PrefixCacheMB: 256 is one window, -1 one batch per window
+		wb   int // windowBatches: 0 is one window, 1 one batch per window
 		run  func(*Analyzer) (any, error)
 		want string
 	}{
-		{"sweep/softmax/one-window", 256, sweep(noise.Softmax), pinSoftmaxSweep},
-		{"sweep/softmax/windows", -1, sweep(noise.Softmax), pinSoftmaxSweep},
-		{"sweep/mac/one-window", 256, sweep(noise.MACOutputs), pinMACSweep},
-		{"sweep/mac/windows", -1, sweep(noise.MACOutputs), pinMACSweep},
-		{"fleet/softmax/reverse", 256, func(a *Analyzer) (any, error) {
+		{"sweep/softmax/one-window", 0, sweep(noise.Softmax), pinSoftmaxSweep},
+		{"sweep/softmax/windows", 1, sweep(noise.Softmax), pinSoftmaxSweep},
+		{"sweep/mac/one-window", 0, sweep(noise.MACOutputs), pinMACSweep},
+		{"sweep/mac/windows", 1, sweep(noise.MACOutputs), pinMACSweep},
+		{"fleet/softmax/reverse", 0, func(a *Analyzer) (any, error) {
 			a.Fleet = &stubFleet{worker: derived(t), reverse: true}
 			return a.sweepScoped(context.Background(), ScopeForGroup(noise.Softmax), 0.9, 21)
 		}, pinFleetSweep},
-		{"eval/quant-exact/one-window", 256, eval(quant), pinQuantExact},
-		{"eval/quant-exact/windows", -1, eval(quant), pinQuantExact},
-		{"eval/design/one-window", 256, eval(design), pinDesign},
-		{"eval/design/windows", -1, eval(design), pinDesign},
+		{"eval/quant-exact/one-window", 0, eval(quant), pinQuantExact},
+		{"eval/quant-exact/windows", 1, eval(quant), pinQuantExact},
+		{"eval/design/one-window", 0, eval(design), pinDesign},
+		{"eval/design/windows", 1, eval(design), pinDesign},
 	}
 	for _, c := range cases {
 		a := derived(t)
-		a.Opts.PrefixCacheMB = c.mb
+		a.windowBatches = c.wb
 		dir := t.TempDir()
 		a.Checkpoint, _ = resumeStore(t, dir, a.Opts)
 		a.Probes = NewProbeSet()

@@ -216,14 +216,7 @@ func (a *Analyzer) recordProbes(p *plan, stats [][]caps.ProbeLayerStats) {
 		}
 		accs[pi].merge(st)
 	}
-	label := a.ProbeLabel
-	if label == "" {
-		label = p.key
-		if p.filter == nil {
-			label = "backend/" + p.be.Name()
-		}
-	}
-	swp := ProbeSweep{Label: label, Backend: p.be.Name()}
+	swp := ProbeSweep{Label: p.label, Backend: p.be.Name()}
 	for pi, acc := range accs {
 		if acc != nil {
 			swp.Points = append(swp.Points, ProbePoint{NM: p.nms[pi], Layers: acc.emit()})

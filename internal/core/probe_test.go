@@ -31,7 +31,6 @@ func TestSweepProbesInert(t *testing.T) {
 	st2, _ := resumeStore(t, dirOn, on.Opts)
 	on.Checkpoint = st2
 	on.Probes = NewProbeSet()
-	on.ProbeLabel = "groups/mac"
 	got := mustSweep(t, on, filter, clean, 11)
 
 	samePoints(t, "probes on vs off", want, got)
@@ -60,7 +59,7 @@ func TestSweepProbesInert(t *testing.T) {
 
 	// And the probes actually recorded something useful.
 	sweeps := on.Probes.Sweeps()
-	if len(sweeps) != 1 || sweeps[0].Label != "groups/mac" || sweeps[0].Backend != "float" {
+	if len(sweeps) != 1 || sweeps[0].Label != "sweep-11" || sweeps[0].Backend != "float" {
 		t.Fatalf("sweeps = %+v", sweeps)
 	}
 	if len(sweeps[0].Points) == 0 {
@@ -130,10 +129,10 @@ func TestSweepProbesWorkerInvariant(t *testing.T) {
 	// A fold merges per-job probe stats in one fixed order over the whole
 	// sweep, so the emitted stats — float sums included — must be
 	// bit-identical for any worker count and any window layout.
-	run := func(workers, mb int, eval func(*Analyzer)) []ProbeSweep {
+	run := func(workers, windowBatches int, eval func(*Analyzer)) []ProbeSweep {
 		a := derived(t)
 		a.Opts.Workers = workers
-		a.Opts.PrefixCacheMB = mb
+		a.windowBatches = windowBatches
 		a.Probes = NewProbeSet()
 		eval(a)
 		return a.Probes.Sweeps()
@@ -150,12 +149,12 @@ func TestSweepProbesWorkerInvariant(t *testing.T) {
 			}
 		},
 	} {
-		want := run(1, 256, eval)
-		for _, mb := range []int{256, -1} {
+		want := run(1, 0, eval)
+		for _, wb := range []int{0, 1} {
 			for _, workers := range []int{1, 2, 8} {
-				if got := run(workers, mb, eval); !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s, workers=%d, PrefixCacheMB=%d: probe stats diverge:\n%+v\nvs\n%+v",
-						name, workers, mb, got, want)
+				if got := run(workers, wb, eval); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s, workers=%d, windowBatches=%d: probe stats diverge:\n%+v\nvs\n%+v",
+						name, workers, wb, got, want)
 				}
 			}
 		}

@@ -81,14 +81,6 @@ type Options struct {
 	// (0 = runtime.GOMAXPROCS(0)). Scheduling never affects results:
 	// sweeps are bit-identical for any worker count.
 	Workers int
-	// PrefixCacheMB bounds the memory (in MiB) of the clean-prefix
-	// activation cache used by the sweep engine (0 = 256; negative forces
-	// single-batch windows, the smallest possible — window layout never
-	// affects results, only scheduling). WithDefaults normalizes every
-	// negative value to -1, and the sweeper floors the derived byte
-	// budget at zero, so a stray negative can never flow into the window
-	// arithmetic as a negative byte count.
-	PrefixCacheMB int
 }
 
 // WithDefaults fills unset options with the paper's defaults and
@@ -112,11 +104,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.PrefixCacheMB == 0 {
-		o.PrefixCacheMB = 256
-	} else if o.PrefixCacheMB < 0 {
-		o.PrefixCacheMB = -1
 	}
 	if n, err := o.Noise.Normalize(); err == nil && !n.IsGaussian() {
 		// Canonicalize non-default kinds only: the gaussian default keeps
@@ -156,10 +143,9 @@ func normalizeNMSweep(grid []float64) []float64 {
 }
 
 // Fingerprint hashes the results-affecting options into a short stable
-// key for checkpoint identity. Workers and PrefixCacheMB are deliberately
-// excluded: they alter scheduling and window layout only, never results,
-// so a run checkpointed at one worker count resumes bit-identically at
-// another.
+// key for checkpoint identity. Workers is deliberately excluded: it
+// alters scheduling only, never results, so a run checkpointed at one
+// worker count resumes bit-identically at another.
 func (o Options) Fingerprint() string {
 	o = o.WithDefaults()
 	s := fmt.Sprintf(
@@ -277,7 +263,7 @@ type Analyzer struct {
 	// alters results; a nil Obs disables it at the cost of one branch.
 	Obs *obs.Obs
 	// Checkpoint, when non-nil, persists completed work (clean accuracy,
-	// per-window sweep counts, finished group/layer analyses) so an
+	// folded sweep counts, finished group/layer analyses) so an
 	// interrupted run resumes bit-identically. Open the store keyed by
 	// (benchmark, seed, Options.Fingerprint()); a store opened under a
 	// different fingerprint ignores its stale contents. A nil Checkpoint
@@ -292,10 +278,6 @@ type Analyzer struct {
 	// doubles evaluation cost (a clean reference pass per job). Probes
 	// is not part of Options, so checkpoint fingerprints are unaffected.
 	Probes *ProbeSet
-	// ProbeLabel names the next sweep's or backend evaluation's probe
-	// record; the analysis steps set it per scope ("groups/<group>",
-	// "layers/<layer>/<group>"). Empty falls back to a derived label.
-	ProbeLabel string
 	// Fleet, when non-nil, distributes the named group/layer sweeps of
 	// the methodology as leased batch windows instead of running them on
 	// this process's worker pool. Results are byte-identical either way:
@@ -310,6 +292,11 @@ type Analyzer struct {
 	// checkpointed) batch window of a sweep or backend evaluation — a
 	// test seam for deterministic mid-run interruption.
 	afterWindow func(batchesDone, totalBatches int)
+	// windowBatches, when positive, splits a local fold into windows of
+	// that many batches — a test seam for mid-fold checkpoints and
+	// window-layout invariance. Zero runs the remaining batches as one
+	// window.
+	windowBatches int
 }
 
 // checkpointPut persists one checkpoint section; persistence failures
@@ -437,7 +424,7 @@ func groupByName(name string) (noise.Group, bool) {
 
 // AnalyzeGroups is Step 2 + Step 3. With a non-nil a.Checkpoint a
 // finished analysis persists under the "groups" section (each individual
-// sweep checkpoints its own windows) and later runs return it directly.
+// sweep checkpoints its own counts) and later runs return it directly.
 func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupResult, error) {
 	a.Opts = a.Opts.WithDefaults()
 	o := a.Opts
@@ -483,7 +470,6 @@ func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupRes
 		if len(groups[g]) == 0 {
 			continue
 		}
-		a.ProbeLabel = "groups/" + g.String()
 		pts, err := a.sweepScoped(ctx, ScopeForGroup(g), clean, uint64(gi)*100000)
 		if err != nil {
 			return nil, fmt.Errorf("group sweep %s: %w", g, err)
@@ -563,7 +549,6 @@ func (a *Analyzer) AnalyzeLayers(ctx context.Context, groups []GroupResult, clea
 		var tols []float64
 		start := len(out)
 		for li, site := range sitesByGroup[gr.Group] {
-			a.ProbeLabel = "layers/" + site.Layer + "/" + gr.Group.String()
 			pts, err := a.sweepScoped(ctx, ScopeForLayer(site.Layer, gr.Group), clean,
 				uint64(gi+1)*10000000+uint64(li)*100000)
 			if err != nil {
@@ -814,7 +799,7 @@ func (a *Analyzer) Run(profiles []ComponentProfile) *Report {
 // RunMethodology executes the full 6-step methodology and assembles the
 // report. Cancelling ctx stops the run at the next batch boundary with
 // ctx's error; with a non-nil a.Checkpoint, completed steps persist and
-// a rerun resumes bit-identically after the last checkpointed window.
+// a rerun resumes bit-identically after the last checkpointed fold.
 func (a *Analyzer) RunMethodology(ctx context.Context, profiles []ComponentProfile) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()

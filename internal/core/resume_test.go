@@ -147,7 +147,7 @@ func TestEvalBackendSurfacesWorkerPanicWithSection(t *testing.T) {
 
 func TestSweepCancelledMidRunReturnsContextError(t *testing.T) {
 	a := derived(t)
-	a.Opts.PrefixCacheMB = -1 // single-batch windows: several cancellation points
+	a.windowBatches = 1 // single-batch windows: several cancellation points
 	ctx, cancel := context.WithCancel(context.Background())
 	var windows int
 	a.afterWindow = func(done, total int) {
@@ -182,12 +182,11 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	const clean = 0.9
 
 	want := derived(t)
-	want.Opts.PrefixCacheMB = -1
 	wantPts := mustSweep(t, want, filter, clean, 9)
 
 	// Interrupted run: cancel after the first checkpointed window.
 	a := derived(t)
-	a.Opts.PrefixCacheMB = -1
+	a.windowBatches = 1 // single-batch windows: a checkpoint after every batch
 	st, resumed := resumeStore(t, dir, a.Opts)
 	if resumed {
 		t.Fatal("fresh store reported resumed")
@@ -206,7 +205,6 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	// Resumed run: a fresh analyzer over the same store skips the finished
 	// window (visible in sweep.resumed_jobs) and completes identically.
 	b := derived(t)
-	b.Opts.PrefixCacheMB = -1
 	b.Obs = obs.New(obs.Off, nil)
 	st2, resumed := resumeStore(t, dir, b.Opts)
 	if !resumed {
@@ -222,7 +220,6 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	// Fully-finished sweep: a third run resumes the Done state and repeats
 	// no jobs at all.
 	c := derived(t)
-	c.Opts.PrefixCacheMB = -1
 	c.Obs = obs.New(obs.Off, nil)
 	st3, _ := resumeStore(t, dir, c.Opts)
 	c.Checkpoint = st3

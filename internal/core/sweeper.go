@@ -55,12 +55,12 @@ import (
 //     im2col / product / routing temporaries of repeated suffix forwards
 //     recycle instead of churning the garbage collector.
 //
-// The cache is memory-bounded by Options.PrefixCacheMB: when the whole
-// evaluation set's frontier activations fit, they are computed once and
-// also retained on the Analyzer for back-to-back folds sharing a frontier
-// (e.g. the softmax and logits-update group sweeps); otherwise batches are
-// processed in windows that fit the bound, re-deriving the prefix per
-// window.
+// Each window source fixes its window's shape. runLocal evaluates the
+// remaining batches as one window, so a fold from batch 0 computes the
+// whole evaluation set's frontier activations once and retains them on
+// the Analyzer for back-to-back folds sharing a frontier (e.g. the
+// softmax and logits-update group sweeps). A fleet leases one batch per
+// window, and each leased window re-derives its own prefix.
 //
 // The engine is fault-tolerant: a panic inside a worker is recovered and
 // surfaced as a *JobPanicError naming the fold's section and the failing
@@ -148,12 +148,7 @@ func runJobs(ctx context.Context, o *obs.Obs, workers, jobs int, fn func(j int, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, jobs))
 	m := o.Metrics()
 	var start time.Time
 	var busy []time.Duration
@@ -187,49 +182,34 @@ func runJobs(ctx context.Context, o *obs.Obs, workers, jobs int, fn func(j int, 
 		}()
 		fn(j, s)
 	}
-	var cancelErr error
-	if workers == 1 {
-		s := tensor.NewScratch()
-		scratches[0] = s
-		for j := 0; j < jobs; j++ {
-			if err := ctx.Err(); err != nil {
-				cancelErr = err
-				break
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := tensor.NewScratch()
+			scratches[w] = s
+			for j := range ch {
+				runOn(w, j, s)
 			}
-			if failed.Load() {
-				break
-			}
-			runOn(0, j, s)
-		}
-	} else {
-		ch := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				s := tensor.NewScratch()
-				scratches[w] = s
-				for j := range ch {
-					runOn(w, j, s)
-				}
-			}(w)
-		}
-	dispatch:
-		for j := 0; j < jobs; j++ {
-			if failed.Load() {
-				break
-			}
-			select {
-			case ch <- j:
-			case <-ctx.Done():
-				cancelErr = ctx.Err()
-				break dispatch
-			}
-		}
-		close(ch)
-		wg.Wait()
+		}(w)
 	}
+	var cancelErr error
+dispatch:
+	for j := 0; j < jobs; j++ {
+		if failed.Load() {
+			break
+		}
+		select {
+		case ch <- j:
+		case <-ctx.Done():
+			cancelErr = ctx.Err()
+			break dispatch
+		}
+	}
+	close(ch)
+	wg.Wait()
 	if m != nil {
 		wall := time.Since(start)
 		var total time.Duration
@@ -255,43 +235,6 @@ func runJobs(ctx context.Context, o *obs.Obs, workers, jobs int, fn func(j int, 
 		return fail
 	}
 	return cancelErr
-}
-
-// prefixBytesPerBatch estimates the byte size of one batch's clean
-// activation at the frontier from the layers' static shape arithmetic.
-func (a *Analyzer) prefixBytesPerBatch(frontier, batch int) int {
-	shape := append([]int{batch}, a.Net.InputShape...)
-	for _, l := range a.Net.Layers[:frontier] {
-		_, shape = l.Ops(shape)
-	}
-	elems := 1
-	for _, d := range shape {
-		elems *= d
-	}
-	return 8 * elems
-}
-
-// prefixWindow returns how many batches of frontier activations fit the
-// configured memory bound (always at least one).
-func (a *Analyzer) prefixWindow(frontier, nb int) int {
-	per := a.prefixBytesPerBatch(frontier, a.Opts.Batch)
-	budget := a.Opts.PrefixCacheMB * 1 << 20
-	if budget < 0 {
-		// Negative PrefixCacheMB means "smallest possible windows"; the
-		// byte budget itself must never go negative.
-		budget = 0
-	}
-	w := 1
-	if per > 0 {
-		w = budget / per
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > nb {
-		w = nb
-	}
-	return w
 }
 
 // prefixActivations returns the clean activations at p's frontier for
@@ -350,22 +293,28 @@ func (a *Analyzer) prefixActivations(ctx context.Context, p *plan, b0, b1 int) (
 // Sweep measures accuracy across the NM grid with the given site filter
 // on this process's worker pool. seedBase namespaces the sweep's RNG
 // streams; reuse the same value to reproduce a sweep bit-for-bit,
-// regardless of Options.Workers. Cancelling ctx stops the sweep at a
-// batch-window boundary with ctx's error; a worker panic surfaces as a
-// *JobPanicError naming the failing (point, trial, batch) job.
+// regardless of Options.Workers. Cancelling ctx stops the sweep at a job
+// boundary with ctx's error; a worker panic surfaces as a *JobPanicError
+// naming the failing (point, trial, batch) job.
 //
 // With a non-nil a.Checkpoint, the per-(point, trial) correct-counts are
-// persisted after every folded batch window under the section
-// "sweep-<seedBase>"; a later call with the same options resumes after
-// the last persisted window (or returns immediately when the sweep had
-// completed), producing bit-identical points because every job's noise
-// is a pure function of (seed, seedBase, point, trial, batch).
+// persisted under the section "sweep-<seedBase>" when the fold completes
+// (a local fold is one window); a later call with the same options
+// returns them immediately, and one that finds a prefix folded by a
+// fleet resumes after it. Either way the points are bit-identical,
+// because every job's noise is a pure function of (seed, seedBase,
+// point, trial, batch).
 func (a *Analyzer) Sweep(ctx context.Context, filter noise.Filter, clean float64, seedBase uint64) ([]SweepPoint, error) {
 	p, err := a.sweepPlan(filter, seedBase)
 	if err != nil {
 		return nil, err
 	}
-	correct, err := a.fold(ctx, p, a.runLocal)
+	return a.foldPoints(ctx, p, a.runLocal, clean)
+}
+
+// foldPoints folds sweep plan p from src into its points.
+func (a *Analyzer) foldPoints(ctx context.Context, p *plan, src windowSource, clean float64) ([]SweepPoint, error) {
+	correct, err := a.fold(ctx, p, src)
 	if err != nil {
 		return nil, err
 	}
@@ -377,13 +326,12 @@ func (a *Analyzer) Sweep(ctx context.Context, filter noise.Filter, clean float64
 // batches run as independent jobs over the worker pool, batch i under
 // inj.Split(i), so the result is bit-identical for any worker count or
 // window layout. A noiseless evaluation computes the exact prefix before
-// be's first approximate layer once per window and replays it; a noisy
-// one replays no prefix, since inj may act at any site. Cancellation
-// stops at a window boundary with ctx's error, and a worker panic
-// surfaces as a *JobPanicError naming the batch. A named section
-// checkpoints the per-window counts — distinct evaluations must use
-// distinct sections — and, with probes on, records them; an unnamed
-// evaluation ("") does neither.
+// be's first approximate layer once and replays it; a noisy one replays
+// no prefix, since inj may act at any site. Cancellation stops at a job
+// boundary with ctx's error, and a worker panic surfaces as a
+// *JobPanicError naming the batch. A named section checkpoints the
+// counts — distinct evaluations must use distinct sections — and, with
+// probes on, records them; an unnamed evaluation ("") does neither.
 func (a *Analyzer) Evaluate(ctx context.Context, be caps.Backend, inj noise.Splitter, section string) (float64, error) {
 	p, err := a.evalPlan(section, be, inj)
 	if err != nil {
@@ -417,6 +365,7 @@ type sweepState struct {
 // and a single evaluation under an optional splittable injector.
 type plan struct {
 	key      string       // checkpoint section; "" for an unnamed evaluation
+	label    string       // probe record label
 	be       caps.Backend // execution backend
 	ref      caps.Backend // probe reference backend; nil skips the reference pass
 	filter   noise.Filter
@@ -457,13 +406,13 @@ func (a *Analyzer) newPlan(key string, be caps.Backend) (*plan, error) {
 }
 
 // sweepPlan lays out the float sweep of filter under seedBase,
-// checkpointed under the section "sweep-<seedBase>".
+// checkpointed and probe-labelled as "sweep-<seedBase>".
 func (a *Analyzer) sweepPlan(filter noise.Filter, seedBase uint64) (*plan, error) {
 	p, err := a.newPlan(fmt.Sprintf("sweep-%d", seedBase), caps.Float{})
 	if err != nil {
 		return nil, err
 	}
-	p.filter, p.seedBase = filter, seedBase
+	p.label, p.filter, p.seedBase = p.key, filter, seedBase
 	// A non-exact nonlinearity perturbs every routing layer, so the clean
 	// prefix must also stop before the first affected one.
 	p.frontier = min(a.Net.InjectionFrontier(filter), a.Net.BackendFrontier(p.be))
@@ -480,7 +429,7 @@ func (a *Analyzer) evalPlan(key string, be caps.Backend, inj noise.Splitter) (*p
 	if err != nil {
 		return nil, err
 	}
-	p.inj = inj
+	p.label, p.inj = "backend/"+p.be.Name(), inj
 	p.evals, p.nms = []evalIdx{{}}, []float64{0}
 	p.frontier = a.Net.BackendFrontier(p.be)
 	if inj != nil {
@@ -609,11 +558,15 @@ func windowSums(jobCorrect []int, evals, nbw int) []int {
 // cancellation.
 type windowSource func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error
 
-// runLocal is the in-process window source: ascending windows of
-// prefixWindow batches on this process's worker pool. A window spanning
-// the whole split fills the prefix cache for the next fold.
+// runLocal is the in-process window source: it evaluates the remaining
+// batches [start, p.nb) as one window on this process's worker pool
+// (a.windowBatches splits it for tests). A window spanning the whole
+// split fills the prefix cache for the next fold.
 func (a *Analyzer) runLocal(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
-	window := a.prefixWindow(p.frontier, p.nb)
+	window := p.nb - start
+	if a.windowBatches > 0 {
+		window = a.windowBatches
+	}
 	for b0 := start; b0 < p.nb; b0 += window {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -66,34 +66,61 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestSweepWindowedMatchesCached(t *testing.T) {
-	// A memory bound too small for even one extra batch degenerates to
-	// single-batch windows with no whole-set cache; results must still be
-	// bit-identical to the fully cached run.
+	// Single-batch windows re-derive the prefix per window and retain no
+	// whole-set cache; results must still be bit-identical to the
+	// one-window run, which retains it.
 	a := derived(t)
-	x, _ := a.evalData()
 	clean := oracleAccuracy(a, nil, nil)
 	filter := noise.ForGroup(noise.Softmax)
 
 	cached := derived(t)
-	cached.Opts.PrefixCacheMB = 1 << 10
 	want := mustSweep(t, cached, filter, clean, 4)
 	if cached.pcache == nil {
-		t.Fatal("large budget did not retain the whole-set prefix cache")
+		t.Fatal("one-window sweep did not retain the whole-set prefix cache")
 	}
 
 	windowed := derived(t)
-	windowed.Opts.PrefixCacheMB = -1 // below any real budget: window of 1
-	frontier := windowed.Net.InjectionFrontier(filter)
-	nb := (x.Shape[0] + windowed.Opts.Batch - 1) / windowed.Opts.Batch
-	if nb < 2 {
+	windowed.windowBatches = 1
+	if _, nb := windowed.SweepGrid(); nb < 2 {
 		t.Fatalf("fixture too small to exercise windowing: %d batches", nb)
-	}
-	if w := windowed.prefixWindow(frontier, nb); w != 1 {
-		t.Fatalf("window = %d, want 1", w)
 	}
 	samePoints(t, "windowed vs cached", want, mustSweep(t, windowed, filter, clean, 4))
 	if windowed.pcache != nil {
 		t.Fatal("windowed run must not retain a partial prefix cache")
+	}
+}
+
+func TestLocalFoldIsOneWindow(t *testing.T) {
+	// With default options a local fold evaluates all of its batches as
+	// one window: a sweep, a scoped sweep and a backend evaluation each
+	// fold (and checkpoint) exactly once, after the last batch.
+	for name, run := range map[string]func(*Analyzer) error{
+		"sweep": func(a *Analyzer) error {
+			_, err := a.Sweep(context.Background(), noise.ForGroup(noise.Softmax), 0.9, 3)
+			return err
+		},
+		"scoped sweep": func(a *Analyzer) error {
+			_, err := a.sweepScoped(context.Background(), ScopeForLayer("Conv2D", noise.MACOutputs), 0.9, 3)
+			return err
+		},
+		"backend eval": func(a *Analyzer) error {
+			_, err := a.EvalBackend(context.Background(), designBackend(t, a), "one-window")
+			return err
+		},
+	} {
+		a := derived(t)
+		_, nb := a.SweepGrid()
+		if nb < 2 {
+			t.Fatalf("fixture yields %d batches; need >= 2", nb)
+		}
+		var folds [][2]int
+		a.afterWindow = func(done, total int) { folds = append(folds, [2]int{done, total}) }
+		if err := run(a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(folds) != 1 || folds[0] != [2]int{nb, nb} {
+			t.Fatalf("%s: folded windows %v, want one ending at batch %d of %d", name, folds, nb, nb)
+		}
 	}
 }
 
@@ -126,32 +153,12 @@ func TestSweepPrefixCacheReuse(t *testing.T) {
 	}
 }
 
-func TestPrefixWindowBounds(t *testing.T) {
-	a := derived(t)
-	a.Opts = a.Opts.WithDefaults()
-	frontier := a.Net.InjectionFrontier(noise.ForGroup(noise.Softmax))
-	if frontier == 0 {
-		t.Fatal("softmax frontier unexpectedly 0")
-	}
-	if per := a.prefixBytesPerBatch(frontier, a.Opts.Batch); per <= 0 {
-		t.Fatalf("prefix bytes = %d", per)
-	}
-	// The default 256 MiB budget dwarfs the fixture: whole set in one window.
-	nb := (a.Data.TestX.Shape[0] + a.Opts.Batch - 1) / a.Opts.Batch
-	if w := a.prefixWindow(frontier, nb); w != nb {
-		t.Fatalf("window = %d, want %d", w, nb)
-	}
-}
-
 func TestOptionsWorkerDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
 	if o.Workers < 1 {
 		t.Fatalf("Workers default = %d", o.Workers)
 	}
-	if o.PrefixCacheMB != 256 {
-		t.Fatalf("PrefixCacheMB default = %d", o.PrefixCacheMB)
-	}
-	if kept := (Options{Workers: 5, PrefixCacheMB: 7}).WithDefaults(); kept.Workers != 5 || kept.PrefixCacheMB != 7 {
+	if kept := (Options{Workers: 5}).WithDefaults(); kept.Workers != 5 {
 		t.Fatalf("explicit values overridden: %+v", kept)
 	}
 }
@@ -182,25 +189,5 @@ func TestZeroValueOptionsActAsDefaults(t *testing.T) {
 	gotG, gotL := analyze(&Analyzer{Net: a.Net, Data: a.Data})
 	if !reflect.DeepEqual(wantG, gotG) || !reflect.DeepEqual(wantL, gotL) {
 		t.Fatalf("zero-value analysis differs:\n%+v\n%+v\nvs\n%+v\n%+v", gotG, gotL, wantG, wantL)
-	}
-}
-
-func TestOptionsPrefixCacheClamped(t *testing.T) {
-	// Regression: WithDefaults left negative PrefixCacheMB values as-is,
-	// so a stray -5 flowed into the sweeper as a negative byte budget.
-	// Every negative now normalizes to the canonical -1 ("single-batch
-	// windows") and the derived byte budget is floored at zero.
-	for _, mb := range []int{-1, -5, -1 << 30} {
-		o := (Options{PrefixCacheMB: mb}).WithDefaults()
-		if o.PrefixCacheMB != -1 {
-			t.Fatalf("WithDefaults(PrefixCacheMB=%d) = %d, want -1", mb, o.PrefixCacheMB)
-		}
-	}
-	a := derived(t)
-	a.Opts.PrefixCacheMB = -7 // bypasses WithDefaults: the sweeper must still clamp
-	frontier := a.Net.InjectionFrontier(noise.ForGroup(noise.Softmax))
-	nb := (a.Data.TestX.Shape[0] + a.Opts.Batch - 1) / a.Opts.Batch
-	if w := a.prefixWindow(frontier, nb); w != 1 {
-		t.Fatalf("negative budget window = %d, want 1", w)
 	}
 }

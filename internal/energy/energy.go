@@ -6,11 +6,6 @@
 // (Acc / XM / XA / XAM).
 package energy
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Counts tallies the basic arithmetic operations on a CapsNet's
 // computational path. Values are operation counts (may be fractional after
 // scaling, hence float64).
@@ -137,33 +132,4 @@ func EvaluateScenarios(c Counts, u UnitEnergy, scenarios []Scenario) []ScenarioR
 		out = append(out, ScenarioResult{Scenario: s, EnergyPJ: e, SavingVsAcc: saving})
 	}
 	return out
-}
-
-// FormatCounts renders a Table I-style operations table.
-func FormatCounts(c Counts, u UnitEnergy) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %14s %12s\n", "OPERATION", "# OPS", "Unit E [pJ]")
-	row := func(name string, n, e float64) {
-		fmt.Fprintf(&b, "%-12s %14s %12.4f\n", name, human(n), e)
-	}
-	row("Addition", c.Add, u.Add)
-	row("Multiplication", c.Mul, u.Mul)
-	row("Division", c.Div, u.Div)
-	row("Exponential", c.Exp, u.Exp)
-	row("Square Root", c.Sqrt, u.Sqrt)
-	return b.String()
-}
-
-// human renders an op count with G/M/K suffixes like the paper's Table I.
-func human(v float64) string {
-	switch {
-	case v >= 1e9:
-		return fmt.Sprintf("%.2f G", v/1e9)
-	case v >= 1e6:
-		return fmt.Sprintf("%.2f M", v/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.0f K", v/1e3)
-	default:
-		return fmt.Sprintf("%.0f", v)
-	}
 }

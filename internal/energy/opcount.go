@@ -82,10 +82,6 @@ func SoftmaxVariantOps(name string, groups, n int) Counts {
 	}
 }
 
-// ReLUOps counts a ReLU activation: comparisons only, no arithmetic
-// energy in the Table I classes.
-func ReLUOps(elements int) Counts { return Counts{} }
-
 // RoutingOps counts one iteration of dynamic routing between inCaps input
 // capsules and outCaps output capsules of dimension dim (per spatial
 // position; multiply by positions before calling, or fold positions into

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"redcane/internal/approx"
@@ -152,8 +152,8 @@ func (r *Runner) AblationNoiseVsLUT() (*NoiseVsLUTResult, error) {
 	// Characterize against this network's own operand distribution, as
 	// the methodology prescribes (Sec. III-B: NM is application
 	// dependent).
-	poolA, poolB := operandPools(t, n)
-	dist := approx.EmpiricalDist(poolA, poolB)
+	_, acts, poolB := operandCodes(t, n, 20000)
+	dist := approx.EmpiricalDist(slices.Concat(acts...), poolB)
 
 	convLayers := []string{"Conv2D", "Primary"}
 	depths := t.Net.MACDepths()
@@ -262,50 +262,6 @@ func (a *NoiseAverageResult) Render() string {
 		fmt.Fprintf(&b, "  NA=%+0.3f: accuracy drop %+0.2f%%\n", na, 100*a.Drops[i])
 	}
 	return b.String()
-}
-
-// operandPools captures the quantized conv-input activations and weights
-// of a trained network on its first n test samples (the "real" operand
-// distribution of Sec. III-B).
-func operandPools(t *Trained, n int) (poolA, poolB []uint8) {
-	x := capEval(t, n)
-	capAct := newCapture(noise.Activations, 20000)
-	t.Net.Forward(x, capAct)
-	vals := make([]float64, 0, 20000)
-	for i := 0; i < x.Len() && len(vals) < 20000; i += 7 {
-		vals = append(vals, x.Data[i])
-	}
-	capAct.values["Input"] = vals
-
-	layers := make([]string, 0, len(capAct.values))
-	for l := range capAct.values {
-		layers = append(layers, l)
-	}
-	sort.Strings(layers)
-	for _, l := range layers {
-		vs := capAct.values[l]
-		q := fixed.Calibrate(tensor.NewFrom(append([]float64(nil), vs...), len(vs)), 8)
-		for _, v := range vs {
-			poolA = append(poolA, uint8(q.Quantize(v)))
-		}
-	}
-
-	names := make([]string, 0)
-	allParams := t.Net.Params()
-	for n := range allParams {
-		if strings.HasSuffix(n, "/W") {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		w := allParams[n]
-		q := fixed.Calibrate(w, 8)
-		for i := 0; i < w.Len(); i += 3 {
-			poolB = append(poolB, uint8(q.Quantize(w.Data[i])))
-		}
-	}
-	return poolA, poolB
 }
 
 // capEval slices the first n test samples of a trained benchmark.

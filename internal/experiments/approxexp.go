@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,8 +118,8 @@ type Fig11Result struct {
 	PoolA, PoolB []uint8
 }
 
-// Fig11 runs the trained DeepCaps on test images with a capture injector,
-// then quantizes each layer's conv-input values to 8-bit codes.
+// Fig11 runs the trained DeepCaps on test images with a capture injector
+// and histograms each layer's 8-bit conv-input codes.
 func (r *Runner) Fig11() (*Fig11Result, error) {
 	if r.fig11Memo != nil {
 		return r.fig11Memo, nil
@@ -127,64 +128,68 @@ func (r *Runner) Fig11() (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	capAct := newCapture(noise.Activations, 40000)
-	n := r.evalCap()
-	sample := t.Data.TestX.Len() / t.Data.TestX.Shape[0]
-	if n > t.Data.TestX.Shape[0] {
-		n = t.Data.TestX.Shape[0]
-	}
-	x := tensor.NewFrom(t.Data.TestX.Data[:n*sample], append([]int{n}, t.Data.TestX.Shape[1:]...)...)
-	t.Net.Forward(x, capAct)
-
-	// The network input is also a conv input.
-	imgVals := make([]float64, 0, 40000)
-	for i := 0; i < x.Len() && len(imgVals) < 40000; i += 7 {
-		imgVals = append(imgVals, x.Data[i])
-	}
-	capAct.values["Input"] = imgVals
-
+	layers, acts, poolB := operandCodes(t, r.evalCap(), 40000)
 	overall := tensor.NewHistogram(0, 256, 64)
 	perLayer := map[string]*tensor.Histogram{}
-	var poolA []uint8
-	layerNames := make([]string, 0, len(capAct.values))
-	for layer := range capAct.values {
-		layerNames = append(layerNames, layer)
-	}
-	sort.Strings(layerNames)
-	for _, layer := range layerNames {
-		vs := capAct.values[layer]
-		tv := tensor.NewFrom(append([]float64(nil), vs...), len(vs))
-		q := fixed.Calibrate(tv, 8)
+	for i, layer := range layers {
 		h := tensor.NewHistogram(0, 256, 64)
-		for _, v := range vs {
-			code := q.Quantize(v)
+		for _, code := range acts[i] {
 			h.Observe(float64(code))
 			overall.Observe(float64(code))
-			poolA = append(poolA, uint8(code))
 		}
 		perLayer[layer] = h
 	}
-
-	// Weight pool from every conv kernel in the network.
-	var poolB []uint8
-	pnames := make([]string, 0)
-	allParams := t.Net.Params()
-	for name := range allParams {
-		if strings.HasSuffix(name, "/W") {
-			pnames = append(pnames, name)
-		}
-	}
-	sort.Strings(pnames)
-	for _, name := range pnames {
-		w := allParams[name]
-		q := fixed.Calibrate(w, 8)
-		for i := 0; i < w.Len(); i += 3 {
-			poolB = append(poolB, uint8(q.Quantize(w.Data[i])))
-		}
-	}
-	res := &Fig11Result{Overall: overall, PerLayer: perLayer, PoolA: poolA, PoolB: poolB}
+	res := &Fig11Result{Overall: overall, PerLayer: perLayer, PoolA: slices.Concat(acts...), PoolB: poolB}
 	r.fig11Memo = res
 	return res, nil
+}
+
+// operandCodes captures the 8-bit operand codes of a trained network's
+// convolutions on its first n test samples (the "real" operand
+// distribution of Sec. III-B): each conv input's codes — at most
+// perLayer samples, quantized on the layer's own range — for the layers
+// in name order, and the code of every third weight of every conv kernel.
+func operandCodes(t *Trained, n, perLayer int) (layers []string, acts [][]uint8, weights []uint8) {
+	x := capEval(t, n)
+	capAct := newCapture(noise.Activations, perLayer)
+	t.Net.Forward(x, capAct)
+	// The network input is also a conv input.
+	vals := make([]float64, 0, perLayer)
+	for i := 0; i < x.Len() && len(vals) < perLayer; i += 7 {
+		vals = append(vals, x.Data[i])
+	}
+	capAct.values["Input"] = vals
+
+	for l := range capAct.values {
+		layers = append(layers, l)
+	}
+	sort.Strings(layers)
+	for _, l := range layers {
+		vs := capAct.values[l]
+		q := fixed.Calibrate(tensor.NewFrom(append([]float64(nil), vs...), len(vs)), 8)
+		codes := make([]uint8, len(vs))
+		for i, v := range vs {
+			codes[i] = uint8(q.Quantize(v))
+		}
+		acts = append(acts, codes)
+	}
+
+	var names []string
+	params := t.Net.Params()
+	for name := range params {
+		if strings.HasSuffix(name, "/W") {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		w := params[name]
+		q := fixed.Calibrate(w, 8)
+		for i := 0; i < w.Len(); i += 3 {
+			weights = append(weights, uint8(q.Quantize(w.Data[i])))
+		}
+	}
+	return layers, acts, weights
 }
 
 // Render formats the overall histogram and a focus on early caps layers.

@@ -97,7 +97,7 @@ func TestTrainerMatchesInferenceAfterWeightTransfer(t *testing.T) {
 		out := m.Forward(x)
 		m.ZeroGrad()
 		m.Backward(tensor.New(out.Shape...).FillNormal(tensor.NewRNG(12), 0, 1))
-		train.NewSGD(0.1, 0).Step(m.Params())
+		train.NewAdam(0.01).Step(m.Params())
 		trained := m.Forward(x)
 
 		fresh, err := BuildInference(spec, 999) // different init on purpose

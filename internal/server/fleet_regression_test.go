@@ -30,7 +30,7 @@ func boundedWireSweep(id string) WireSweep {
 
 func TestFleetCompleteRejectsOutOfRangeCounts(t *testing.T) {
 	m, _, o := testFleetManager(time.Minute)
-	ch, err := m.runSweep(context.Background(), boundedWireSweep("j1/s1"), 0, 1)
+	ch, err := m.runSweep(context.Background(), boundedWireSweep("j1/s1"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFleetCompleteRejectsOutOfRangeCounts(t *testing.T) {
 
 	// Sweeps registered without a batch size (pre-existing wire shape)
 	// keep the legacy behavior: no upper bound, negatives still rejected.
-	ch2, err := m.runSweep(context.Background(), testWireSweep("j1/legacy", 1, 1), 0, 1)
+	ch2, err := m.runSweep(context.Background(), testWireSweep("j1/legacy", 1, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFleetCompleteRejectsOutOfRangeCounts(t *testing.T) {
 
 func TestFleetCompleteOutOfRangeHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{}, instantRun(Artifacts{Text: "x"}))
-	ch, err := s.Fleet().runSweep(context.Background(), boundedWireSweep("j1/s1"), 0, 1)
+	ch, err := s.Fleet().runSweep(context.Background(), boundedWireSweep("j1/s1"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFleetCompleteOutOfRangeHTTP(t *testing.T) {
 
 func TestFleetReleaseIdempotent(t *testing.T) {
 	m, _, o := testFleetManager(time.Hour)
-	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1)
+	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFleetReleaseHTTP(t *testing.T) {
 		t.Fatalf("unknown release: HTTP %d, status %q", code, status)
 	}
 
-	ch, err := s.Fleet().runSweep(context.Background(), testWireSweep("j1/s1", 1, 1), 0, 1)
+	ch, err := s.Fleet().runSweep(context.Background(), testWireSweep("j1/s1", 1, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +242,14 @@ func TestFleetCancelledSweepReRegisters(t *testing.T) {
 	m, _, _ := testFleetManager(time.Minute)
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		old, err := m.runSweep(ctx, testWireSweep("j1/s1", 1, 2), 0, 1)
+		old, err := m.runSweep(ctx, testWireSweep("j1/s1", 1, 2), 0)
 		if err != nil {
 			t.Fatalf("iter %d: register: %v", i, err)
 		}
 		cancel()
 		// No settling: the re-registration must win the race against the
 		// teardown goroutine every time.
-		fresh, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1)
+		fresh, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0)
 		if err != nil {
 			t.Fatalf("iter %d: re-register after cancel: %v", i, err)
 		}
@@ -272,11 +272,11 @@ func TestFleetCancelledSweepReRegisters(t *testing.T) {
 		}
 	}
 	// A live registration is still protected against duplicates.
-	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 1), 0, 1)
+	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 1), 0, 1); err == nil {
+	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 1), 0); err == nil {
 		t.Fatal("live duplicate registration accepted")
 	}
 	if _, err := m.Complete(completeRequest{SweepID: "j1/s1", B0: 0, B1: 1, Correct: []int{1}}); err != nil {
@@ -332,7 +332,7 @@ func TestFleetWorkerTableBounded(t *testing.T) {
 func TestFleetWorkerSeriesCapAndSanitization(t *testing.T) {
 	nWorkers := maxWorkerSeries + 6
 	m, _, o := testFleetManager(time.Minute)
-	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, nWorkers), 0, 1)
+	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, nWorkers), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func counts(evals, b0 int) []int {
 
 func TestFleetManagerLeaseCompleteLifecycle(t *testing.T) {
 	m, _, _ := testFleetManager(time.Minute)
-	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 2, 3), 0, 1)
+	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 2, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +125,36 @@ func TestFleetManagerLeaseCompleteLifecycle(t *testing.T) {
 	}
 }
 
+func TestFleetSweepLeasesOneBatchPerWindow(t *testing.T) {
+	// The fleet's window is one batch: a sweep registered from batch
+	// start through the core.Fleet seam leaves nb-start pending windows,
+	// leased in ascending order, each covering a single batch.
+	const nb = 4
+	for _, start := range []int{0, 1} {
+		m, _, _ := testFleetManager(time.Minute)
+		ctx, cancel := context.WithCancel(context.Background())
+		job := core.SweepJob{
+			Key: "sweep-7", SeedBase: 7, Scope: core.ScopeForGroup(noise.MACOutputs),
+			Evals: 1, NB: nb, Examples: 3 * nb,
+		}
+		if _, err := m.ForJob("j000001", "capsnet-mnist-like", true, 42).RunSweep(ctx, job, start); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Status(); st.WindowsPending != nb-start {
+			t.Fatalf("start %d: %d pending windows, want %d", start, st.WindowsPending, nb-start)
+		}
+		for b := start; b < nb; b++ {
+			if l, ok := m.Lease("w1"); !ok || l.B0 != b || l.B1 != b+1 {
+				t.Fatalf("start %d: lease = %+v, %v; want window [%d, %d)", start, l, ok, b, b+1)
+			}
+		}
+		cancel()
+	}
+}
+
 func TestFleetManagerDuplicateAndUnleasedCompletions(t *testing.T) {
 	m, _, o := testFleetManager(time.Minute)
-	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1)
+	ch, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +196,7 @@ func TestFleetManagerDuplicateAndUnleasedCompletions(t *testing.T) {
 
 func TestFleetManagerExpiryReissueAndLateCompletion(t *testing.T) {
 	m, fc, o := testFleetManager(time.Second)
-	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1); err != nil {
+	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +235,7 @@ func TestFleetManagerExpiryReissueAndLateCompletion(t *testing.T) {
 
 func TestFleetManagerRenewKeepsLeaseAlive(t *testing.T) {
 	m, fc, _ := testFleetManager(time.Second)
-	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0, 1); err != nil {
+	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s1", 1, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 	l1, _ := m.Lease("w1")
@@ -235,7 +262,7 @@ func TestFleetManagerRenewKeepsLeaseAlive(t *testing.T) {
 func TestFleetManagerContextCancelClosesSweep(t *testing.T) {
 	m, _, _ := testFleetManager(time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := m.runSweep(ctx, testWireSweep("j1/s1", 1, 3), 0, 1)
+	ch, err := m.runSweep(ctx, testWireSweep("j1/s1", 1, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +283,11 @@ func TestFleetManagerContextCancelClosesSweep(t *testing.T) {
 	}
 
 	// A duplicate registration under a live ID is refused.
-	ch2, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0, 1)
+	ch2, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0, 1); err == nil {
+	if _, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 1), 0); err == nil {
 		t.Fatal("duplicate sweep ID registered")
 	}
 	if status, err := m.Complete(completeRequest{SweepID: "j1/s2", B0: 0, B1: 1, Correct: []int{1}}); err != nil || status != CompleteOK {
@@ -300,7 +327,7 @@ func TestFleetHTTPEndpoints(t *testing.T) {
 		t.Fatalf("unknown renew: HTTP %d", resp.StatusCode)
 	}
 
-	ch, err := s.Fleet().runSweep(context.Background(), testWireSweep("j1/s1", 2, 1), 0, 1)
+	ch, err := s.Fleet().runSweep(context.Background(), testWireSweep("j1/s1", 2, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

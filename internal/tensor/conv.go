@@ -119,20 +119,14 @@ func Conv2D(x, w, b *Tensor, stride, pad int) *Tensor {
 // Dispatch is by shape only (never by CPU features), so a given
 // convolution always takes the same numeric path on every machine:
 // 3×3 stride-1 kernels on wide-enough planes run the fused im2col-free
-// direct path, 1×1 stride-1 unpadded kernels run the channel-axpy direct
-// path, and everything else goes through im2col + the blocked GEMM with
-// a fused bias+transpose epilogue. Each path is bit-identical to its
-// reference oracle in conv_ref.go.
+// direct path, and everything else goes through im2col + the blocked
+// GEMM with a fused bias+transpose epilogue. Each path is bit-identical
+// to its reference oracle in conv_ref.go.
 func Conv2DScratch(x, w, b *Tensor, stride, pad int, s *Scratch) *Tensor {
-	kh, kw := w.Shape[2], w.Shape[3]
-	switch {
-	case kh == 3 && kw == 3 && stride == 1 && use3x3Direct(x.Shape[3]):
+	if w.Shape[2] == 3 && w.Shape[3] == 3 && stride == 1 && use3x3Direct(x.Shape[3]) {
 		return conv2DDirect3x3(x, w, b, pad)
-	case kh == 1 && kw == 1 && stride == 1 && pad == 0:
-		return conv2DDirect1x1(x, w, b)
-	default:
-		return conv2DGEMM(x, w, b, stride, pad, s)
 	}
+	return conv2DGEMM(x, w, b, stride, pad, s)
 }
 
 // use3x3Direct decides — from the input width alone, so dispatch stays a
@@ -362,34 +356,6 @@ func conv2DDirect3x3(x, w, bias *Tensor, pad int) *Tensor {
 						}
 					}
 					edge3Cols(p0, xplane, oyLo, oyHi, ky, pad, ow, wd, lo, hi, u)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// conv2DDirect1x1 is the pointwise fast path: each output plane is the
-// bias plus a channel-axpy over input planes in ascending ci order.
-func conv2DDirect1x1(x, w, bias *Tensor) *Tensor {
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outCh := w.Shape[0]
-	out := New(n, outCh, h, wd)
-	plane := h * wd
-	for b := 0; b < n; b++ {
-		for oc := 0; oc < outCh; oc++ {
-			dst := out.Data[(b*outCh+oc)*plane : (b*outCh+oc+1)*plane]
-			if bias != nil {
-				bv := bias.Data[oc]
-				for i := range dst {
-					dst[i] = bv
-				}
-			}
-			for ci := 0; ci < c; ci++ {
-				wv := w.Data[oc*c+ci]
-				src := x.Data[(b*c+ci)*plane : (b*c+ci+1)*plane : (b*c+ci+1)*plane]
-				for i := range dst {
-					dst[i] += src[i] * wv
 				}
 			}
 		}

@@ -8,7 +8,7 @@ package tensor
 //
 // Canonical orders (for finite inputs):
 //
-//   - Direct 3×3 / 1×1: out = bias, then += one tap group per (ci, ky)
+//   - Direct 3×3: out = bias, then += one tap group per (ci, ky)
 //     in ascending order; a tap group sums its in-bounds kx taps left to
 //     right. The fused fast path evaluates a full group as
 //     ((x0*w0 + x1*w1) + x2*w2) while this reference starts each group
@@ -18,14 +18,10 @@ package tensor
 //   - GEMM: out[oc] = DotRef(patch row, kernel row) + bias, the 4-lane
 //     canonical dot order.
 func Conv2DRef(x, w, b *Tensor, stride, pad int) *Tensor {
-	kh, kw := w.Shape[2], w.Shape[3]
-	switch {
-	case kh == 3 && kw == 3 && stride == 1 && use3x3Direct(x.Shape[3]),
-		kh == 1 && kw == 1 && stride == 1 && pad == 0:
+	if w.Shape[2] == 3 && w.Shape[3] == 3 && stride == 1 && use3x3Direct(x.Shape[3]) {
 		return conv2DDirectRef(x, w, b, stride, pad)
-	default:
-		return conv2DGEMMRef(x, w, b, stride, pad)
 	}
+	return conv2DGEMMRef(x, w, b, stride, pad)
 }
 
 // conv2DDirectRef is the direct-path oracle: per output element, bias

@@ -150,7 +150,7 @@ func TestConv2DBitwiseVsRef(t *testing.T) {
 		{1, 2, 6, 7, 5, 3, 1, 0},
 		{2, 1, 5, 5, 3, 3, 1, 2},
 		{1, 2, 4, 1, 2, 3, 1, 1},
-		// Direct 1×1 path.
+		// 1×1 kernels: GEMM path.
 		{2, 3, 5, 6, 4, 1, 1, 0},
 		{1, 1, 4, 4, 3, 1, 1, 0},
 		// GEMM path: other kernels, strides, pads.
@@ -158,7 +158,7 @@ func TestConv2DBitwiseVsRef(t *testing.T) {
 		{2, 4, 8, 8, 6, 3, 2, 1},
 		{1, 3, 10, 10, 17, 5, 2, 2}, // outCh not a multiple of 8
 		{2, 2, 7, 5, 2, 3, 2, 1},
-		{1, 1, 6, 6, 9, 1, 2, 0}, // 1×1 stride 2 goes through GEMM
+		{1, 1, 6, 6, 9, 1, 2, 0}, // 1×1 stride 2
 		{1, 2, 8, 8, 16, 4, 3, 1},
 	}
 	r := lcg(7)

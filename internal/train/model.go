@@ -2,7 +2,7 @@
 // Model differentiates a caps.Network's own layers with hand-written
 // backward passes (conv via im2col/col2im, squash Jacobians, dynamic
 // routing with straight-through coupling coefficients), and Fit minimizes
-// the margin loss of Sabour et al. with Adam (SGD is also provided).
+// the margin loss of Sabour et al. with Adam.
 //
 // Training exists to produce realistic weights for the resilience analysis
 // — the paper trains in TensorFlow on GPUs; here the whole stack is pure

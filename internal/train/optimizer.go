@@ -6,44 +6,6 @@ import (
 	"redcane/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: map[*Param]*tensor.Tensor{}}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i := range p.W.Data {
-				p.W.Data[i] -= o.LR * p.G.Data[i]
-			}
-			continue
-		}
-		v := o.vel[p]
-		if v == nil {
-			v = tensor.New(p.W.Shape...)
-			o.vel[p] = v
-		}
-		for i := range p.W.Data {
-			v.Data[i] = o.Momentum*v.Data[i] - o.LR*p.G.Data[i]
-			p.W.Data[i] += v.Data[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -59,7 +21,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one Adam update to params from their accumulated
+// gradients.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))

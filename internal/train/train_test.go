@@ -192,28 +192,6 @@ func TestMarginLossGradientNumeric(t *testing.T) {
 	}
 }
 
-func TestSGDStepDirection(t *testing.T) {
-	p := newParam("p", tensor.NewFrom([]float64{1, 1}, 2))
-	p.G.Data[0] = 2
-	NewSGD(0.1, 0).Step([]*Param{p})
-	if math.Abs(p.W.Data[0]-0.8) > 1e-12 || p.W.Data[1] != 1 {
-		t.Fatalf("SGD step = %v", p.W.Data)
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := newParam("p", tensor.New(1))
-	opt := NewSGD(0.1, 0.9)
-	p.G.Data[0] = 1
-	opt.Step([]*Param{p})
-	first := p.W.Data[0]
-	opt.Step([]*Param{p})
-	second := p.W.Data[0] - first
-	if !(second < first) { // velocity grows in magnitude
-		t.Fatalf("momentum not accumulating: steps %g then %g", first, second)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)² with Adam.
 	p := newParam("p", tensor.New(1))
