@@ -469,7 +469,11 @@ func sweepBenchAnalyzer(b *testing.B) (*core.Analyzer, float64) {
 	a := &core.Analyzer{Net: net, Data: ds, Opts: core.Options{
 		NMSweep: []float64{0.5, 0.05, 0}, Trials: 1, MaxEval: 32, Seed: 5,
 	}.WithDefaults()}
-	return a, a.CleanAccuracy()
+	clean, err := a.Evaluate(context.Background(), nil, nil, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a, clean
 }
 
 // naiveSweep replays the pre-engine sweep strategy — one full serial
@@ -500,10 +504,10 @@ func naiveSweep(b *testing.B, a *core.Analyzer, filter noise.Filter) {
 // routing suffix per sweep point.
 func BenchmarkLayerSweepClassCaps(b *testing.B) {
 	a, clean := sweepBenchAnalyzer(b)
-	filter := noise.ForLayerGroup("ClassCaps", noise.MACOutputs)
+	scope := core.ScopeForLayer("ClassCaps", noise.MACOutputs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Sweep(context.Background(), filter, clean, 1); err != nil {
+		if _, err := a.Sweep(context.Background(), scope, clean, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -529,7 +533,7 @@ func BenchmarkGroupSweepEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for gi, g := range noise.Groups() {
-			if _, err := a.Sweep(context.Background(), noise.ForGroup(g), clean, uint64(gi)*100000); err != nil {
+			if _, err := a.Sweep(context.Background(), core.ScopeForGroup(g), clean, uint64(gi)*100000); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -559,7 +563,10 @@ func BenchmarkMethodologyGroupSweepSmall(b *testing.B) {
 	a := &core.Analyzer{Net: net, Data: ds, Opts: core.Options{
 		NMSweep: []float64{0.5, 0.05, 0}, Trials: 1, MaxEval: 32, Seed: 5,
 	}.WithDefaults()}
-	clean := a.CleanAccuracy()
+	clean, err := a.Evaluate(context.Background(), nil, nil, "")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.AnalyzeGroups(context.Background(), clean); err != nil {

@@ -53,7 +53,10 @@ func main() {
 	a := &core.Analyzer{Net: net, Data: ds, Opts: core.Options{
 		Trials: 2, MaxEval: 150, Seed: 5,
 	}.WithDefaults()}
-	clean := a.CleanAccuracy()
+	clean, err := a.Evaluate(context.Background(), nil, nil, "")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("clean accuracy (eval subset): %.2f%%\n\n", 100*clean)
 	fmt.Println("group-wise accuracy drop by noise magnitude:")
 	fmt.Printf("%-14s", "NM")

@@ -1,8 +1,10 @@
 // Package checkpoint persists completed analysis work so interrupted
 // runs resume without recomputation. A Store is a single versioned JSON
-// file keyed by (name, seed, options-fingerprint); callers persist
-// opaque sections ("clean", "groups", "sweep-<n>", …) as they complete
-// and read them back on restart. Because the key fingerprints every
+// file keyed by (name, seed, options-fingerprint) holding opaque
+// sections; the analysis engine's fold writes one per sweep
+// ("sweep-<seedBase>") or named evaluation as its windows fold, and reads
+// it back on restart. A store keeps every section it loaded, including
+// ones no reader asks for. Because the key fingerprints every
 // results-affecting option and the sweep engine is counter-seeded, a
 // resumed run reproduces an uninterrupted one bit-for-bit.
 //

@@ -202,7 +202,7 @@ func TestEvaluateSurfacesWorkerPanicWithBatch(t *testing.T) {
 			if noisy {
 				_, err = a.Evaluate(context.Background(), nil, macNoise(a, 0.1), "")
 			} else {
-				_, err = a.CleanAccuracyCtx(context.Background())
+				_, err = a.Evaluate(context.Background(), nil, nil, "")
 			}
 			var jp *JobPanicError
 			if !errors.As(err, &jp) {
@@ -229,7 +229,7 @@ func TestEvaluateHonoursCancellation(t *testing.T) {
 		if _, err := a.Evaluate(ctx, nil, macNoise(a, 0.1), ""); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d noisy: error = %v, want context.Canceled", workers, err)
 		}
-		if _, err := a.CleanAccuracyCtx(ctx); !errors.Is(err, context.Canceled) {
+		if _, err := a.Evaluate(ctx, nil, nil, ""); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d clean: error = %v, want context.Canceled", workers, err)
 		}
 	}

@@ -64,7 +64,7 @@ func TestFaultSweepCheckpointResumeByteIdentical(t *testing.T) {
 		const clean, seedBase = 0.9, 13
 
 		want := faultAnalyzer(t, spec)
-		wantPts, err := want.sweepScoped(context.Background(), scope, clean, seedBase)
+		wantPts, err := want.Sweep(context.Background(), scope, clean, seedBase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestFaultSweepCheckpointResumeByteIdentical(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := a.sweepScoped(ctx, scope, clean, seedBase); !errors.Is(err, context.Canceled) {
+		if _, err := a.Sweep(ctx, scope, clean, seedBase); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: interrupted sweep error = %v", spec, err)
 		}
 
@@ -90,7 +90,7 @@ func TestFaultSweepCheckpointResumeByteIdentical(t *testing.T) {
 			t.Fatalf("%s: checkpointed store reported fresh", spec)
 		}
 		b.Checkpoint = st2
-		gotPts, err := b.sweepScoped(context.Background(), scope, clean, seedBase)
+		gotPts, err := b.Sweep(context.Background(), scope, clean, seedBase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,14 +105,14 @@ func TestFleetFaultSweepMatchesLocal(t *testing.T) {
 	spec := noise.Spec{Kind: noise.KindBitFlip}
 	local := faultAnalyzer(t, spec)
 	scope := ScopeForGroup(noise.MACOutputs)
-	want, err := local.sweepScoped(context.Background(), scope, 0.9, 19)
+	want, err := local.Sweep(context.Background(), scope, 0.9, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := &stubFleet{worker: derived(t), reverse: true}
 	coord := faultAnalyzer(t, spec)
 	coord.Fleet = fl
-	got, err := coord.sweepScoped(context.Background(), scope, 0.9, 19)
+	got, err := coord.Sweep(context.Background(), scope, 0.9, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFleetFaultSweepMatchesLocal(t *testing.T) {
 func TestSweepRejectsUnknownInjectorKind(t *testing.T) {
 	a := derived(t)
 	a.Opts.Noise = noise.Spec{Kind: "cosmic-ray"}
-	_, err := a.Sweep(context.Background(), noise.ForGroup(noise.MACOutputs), 0.9, 1)
+	_, err := a.Sweep(context.Background(), ScopeForGroup(noise.MACOutputs), 0.9, 1)
 	if err == nil || !strings.Contains(err.Error(), noise.KindBitFlip) {
 		t.Fatalf("sweep with bad kind: err = %v, want the valid-kind list", err)
 	}

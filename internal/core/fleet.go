@@ -43,14 +43,16 @@ func ScopeForLayer(layer string, g noise.Group) SweepScope {
 
 // Filter resolves the scope back to the site filter it names.
 func (s SweepScope) Filter() (noise.Filter, error) {
-	g, ok := groupByName(s.Group)
-	if !ok {
-		return nil, fmt.Errorf("sweep scope names unknown group %q", s.Group)
+	for _, g := range noise.Groups() {
+		if g.String() != s.Group {
+			continue
+		}
+		if s.Layer != "" {
+			return noise.ForLayerGroup(s.Layer, g), nil
+		}
+		return noise.ForGroup(g), nil
 	}
-	if s.Layer != "" {
-		return noise.ForLayerGroup(s.Layer, g), nil
-	}
-	return noise.ForGroup(g), nil
+	return nil, fmt.Errorf("sweep scope names unknown group %q", s.Group)
 }
 
 // String renders the scope for logs and metrics labels.
@@ -149,31 +151,19 @@ func (a *Analyzer) SweepGrid() (evals, nb int) {
 	return len(sweepEvals(o)), (n + o.Batch - 1) / o.Batch
 }
 
-// sweepScoped runs one named sweep of the methodology: one plan,
-// probe-labelled by its scope, folded through the fleet when the analyzer
-// has one and locally otherwise. Only these sweeps can be distributed,
-// because only they have wire-representable scopes. Both sources feed
-// the same fold and checkpoint section, so a fleet run resumes a local
-// checkpoint and vice versa.
-func (a *Analyzer) sweepScoped(ctx context.Context, scope SweepScope, clean float64, seedBase uint64) ([]SweepPoint, error) {
-	filter, err := scope.Filter()
-	if err != nil {
-		return nil, err
-	}
-	p, err := a.sweepPlan(filter, seedBase)
-	if err != nil {
-		return nil, err
-	}
-	p.label = scope.probeLabel()
-	if a.Fleet == nil {
-		return a.foldPoints(ctx, p, a.runLocal, clean)
-	}
+// fleetSource is the remote window source of scope's sweep: it registers
+// the sweep's unfolded batches with a.Fleet and emits each window's
+// counts as they come back. It takes the scope, not the plan's filter,
+// because only a scope crosses the wire. Both sources feed the same fold
+// and checkpoint section, so a fleet run resumes a local checkpoint and
+// vice versa.
+func (a *Analyzer) fleetSource(scope SweepScope) windowSource {
 	if a.Probes != nil {
 		// Probe recorders live on the workers' passes and never travel the
 		// wire; a distributed sweep records no probe stats.
 		a.Obs.Warn("probes are not collected over a fleet", obs.F("sweep", scope.String()))
 	}
-	return a.foldPoints(ctx, p, func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
+	return func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
 		job := SweepJob{
 			Key: p.key, SeedBase: p.seedBase, Scope: scope,
 			Opts: a.Opts, Evals: len(p.evals), NB: p.nb, Examples: p.n,
@@ -193,5 +183,5 @@ func (a *Analyzer) sweepScoped(ctx context.Context, scope SweepScope, clean floa
 			emit(res, nil)
 		}
 		return nil
-	}, clean)
+	}
 }

@@ -122,7 +122,7 @@ func TestFleetSweepMatchesLocalSweep(t *testing.T) {
 		ScopeForLayer("Conv2D", noise.MACOutputs),
 	} {
 		local := derived(t)
-		want, err := local.sweepScoped(context.Background(), scope, 0.9, 17)
+		want, err := local.Sweep(context.Background(), scope, 0.9, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestFleetSweepMatchesLocalSweep(t *testing.T) {
 		fl := &stubFleet{worker: derived(t), reverse: true}
 		coord := derived(t)
 		coord.Fleet = fl
-		got, err := coord.sweepScoped(context.Background(), scope, 0.9, 17)
+		got, err := coord.Sweep(context.Background(), scope, 0.9, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestFleetSweepResumesLocalCheckpoint(t *testing.T) {
 	const clean, seedBase = 0.9, 9
 
 	want := derived(t)
-	wantPts, err := want.sweepScoped(context.Background(), scope, clean, seedBase)
+	wantPts, err := want.Sweep(context.Background(), scope, clean, seedBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFleetSweepResumesLocalCheckpoint(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := a.sweepScoped(ctx, scope, clean, seedBase); !errors.Is(err, context.Canceled) {
+	if _, err := a.Sweep(ctx, scope, clean, seedBase); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error = %v", err)
 	}
 
@@ -179,7 +179,7 @@ func TestFleetSweepResumesLocalCheckpoint(t *testing.T) {
 	}
 	b.Checkpoint = st2
 	b.Fleet = fl
-	gotPts, err := b.sweepScoped(context.Background(), scope, clean, seedBase)
+	gotPts, err := b.Sweep(context.Background(), scope, clean, seedBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestFleetSweepResumesLocalCheckpoint(t *testing.T) {
 	c.Obs = obs.New(obs.Off, nil)
 	st3, _ := resumeStore(t, dir, c.Opts)
 	c.Checkpoint = st3
-	again, err := c.sweepScoped(context.Background(), scope, clean, seedBase)
+	again, err := c.Sweep(context.Background(), scope, clean, seedBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +223,13 @@ func TestFleetSweepIncompleteIsAnError(t *testing.T) {
 	fl := &stubFleet{worker: derived(t), limit: 1}
 	a.Fleet = fl
 	scope := ScopeForGroup(noise.MACOutputs)
-	_, err := a.sweepScoped(context.Background(), scope, 0.9, 23)
+	_, err := a.Sweep(context.Background(), scope, 0.9, 23)
 	if err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("partial fleet delivery: err = %v, want incomplete", err)
 	}
 
 	// The next attempt resumes after the folded prefix and completes.
-	want, err := derived(t).sweepScoped(context.Background(), scope, 0.9, 23)
+	want, err := derived(t).Sweep(context.Background(), scope, 0.9, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestFleetSweepIncompleteIsAnError(t *testing.T) {
 	b.Checkpoint = st2
 	fl2 := &stubFleet{worker: derived(t)}
 	b.Fleet = fl2
-	got, err := b.sweepScoped(context.Background(), scope, 0.9, 23)
+	got, err := b.Sweep(context.Background(), scope, 0.9, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

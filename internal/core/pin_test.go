@@ -40,7 +40,9 @@ func TestEngineDigestsPinned(t *testing.T) {
 		t.Skip("digests are recorded on amd64")
 	}
 	sweep := func(g noise.Group) func(*Analyzer) (any, error) {
-		return func(a *Analyzer) (any, error) { return a.Sweep(context.Background(), noise.ForGroup(g), 0.9, 21) }
+		return func(a *Analyzer) (any, error) {
+			return sweepFilter(context.Background(), a, noise.ForGroup(g), 0.9, 21)
+		}
 	}
 	eval := func(be func(*Analyzer) caps.Backend) func(*Analyzer) (any, error) {
 		return func(a *Analyzer) (any, error) { return a.EvalBackend(context.Background(), be(a), "pin") }
@@ -59,7 +61,7 @@ func TestEngineDigestsPinned(t *testing.T) {
 		{"sweep/mac/windows", 1, sweep(noise.MACOutputs), pinMACSweep},
 		{"fleet/softmax/reverse", 0, func(a *Analyzer) (any, error) {
 			a.Fleet = &stubFleet{worker: derived(t), reverse: true}
-			return a.sweepScoped(context.Background(), ScopeForGroup(noise.Softmax), 0.9, 21)
+			return a.Sweep(context.Background(), ScopeForGroup(noise.Softmax), 0.9, 21)
 		}, pinFleetSweep},
 		{"eval/quant-exact/one-window", 0, eval(quant), pinQuantExact},
 		{"eval/quant-exact/windows", 1, eval(quant), pinQuantExact},

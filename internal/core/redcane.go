@@ -262,12 +262,14 @@ type Analyzer struct {
 	// worker-pool busy time, scratch-arena traffic). Telemetry never
 	// alters results; a nil Obs disables it at the cost of one branch.
 	Obs *obs.Obs
-	// Checkpoint, when non-nil, persists completed work (clean accuracy,
-	// folded sweep counts, finished group/layer analyses) so an
-	// interrupted run resumes bit-identically. Open the store keyed by
-	// (benchmark, seed, Options.Fingerprint()); a store opened under a
-	// different fingerprint ignores its stale contents. A nil Checkpoint
-	// disables persistence entirely.
+	// Checkpoint, when non-nil, persists every fold's correct-counts
+	// (each sweep and each named evaluation) so an interrupted run resumes
+	// bit-identically: the analysis steps re-derive their results from
+	// the folded counts, and unnamed evaluations (the clean baseline, the
+	// Step 6 validation) run again. Open the store keyed by (benchmark,
+	// seed, Options.Fingerprint()); a store opened under a different
+	// fingerprint ignores its stale contents. A nil Checkpoint disables
+	// persistence entirely.
 	Checkpoint *checkpoint.Store
 	// Probes, when non-nil, turns on the numeric-health probes: every
 	// sweep and named evaluation records per-layer activation
@@ -299,14 +301,6 @@ type Analyzer struct {
 	windowBatches int
 }
 
-// checkpointPut persists one checkpoint section; persistence failures
-// degrade to a warning (the run continues, it just cannot resume).
-func (a *Analyzer) checkpointPut(key string, v any) {
-	if err := a.Checkpoint.Put(key, v); err != nil {
-		a.Obs.Warn("checkpoint write failed", obs.F("section", key), obs.F("err", err))
-	}
-}
-
 // execBackend resolves the analyzer's configured softmax/squash variants
 // and wraps the given backend with them. The exact default returns be
 // unchanged, so default runs execute exactly the pre-seam code path.
@@ -316,44 +310,6 @@ func (a *Analyzer) execBackend(be caps.Backend) (caps.Backend, error) {
 		return nil, err
 	}
 	return caps.WithNonlinearity(be, nl), nil
-}
-
-// ckptClean is the checkpointed clean-accuracy section.
-type ckptClean struct {
-	Accuracy float64 `json:"accuracy"`
-}
-
-// CleanAccuracy evaluates the noiseless test accuracy under the
-// analyzer's evaluation cap.
-func (a *Analyzer) CleanAccuracy() float64 {
-	acc, err := a.CleanAccuracyCtx(context.Background())
-	if err != nil {
-		panic(err) // unreachable: a background context never cancels
-	}
-	return acc
-}
-
-// CleanAccuracyCtx is CleanAccuracy with cancellation (stops at a batch
-// boundary with ctx's error) and checkpointing: with a non-nil
-// a.Checkpoint the measured value persists under the "clean" section and
-// later runs skip the evaluation.
-func (a *Analyzer) CleanAccuracyCtx(ctx context.Context) (float64, error) {
-	a.Opts = a.Opts.WithDefaults()
-	if a.Checkpoint != nil {
-		var c ckptClean
-		if a.Checkpoint.Get("clean", &c) {
-			a.Obs.Info("clean accuracy resumed from checkpoint", obs.F("accuracy", c.Accuracy))
-			return c.Accuracy, nil
-		}
-	}
-	acc, err := a.Evaluate(ctx, nil, nil, "")
-	if err != nil {
-		return 0, err
-	}
-	if a.Checkpoint != nil {
-		a.checkpointPut("clean", ckptClean{Accuracy: acc})
-	}
-	return acc, nil
 }
 
 // evalData returns the (possibly truncated) test split.
@@ -395,66 +351,12 @@ func toleratedNM(points []SweepPoint, threshold float64) float64 {
 	return best
 }
 
-// ckptGroup / ckptLayer are the checkpointed forms of a finished group
-// or layer analysis (groups serialize by their stable paper name).
-type ckptGroup struct {
-	Group       string       `json:"group"`
-	Points      []SweepPoint `json:"points"`
-	ToleratedNM float64      `json:"tolerated_nm"`
-	Resilient   bool         `json:"resilient"`
-}
-
-type ckptLayer struct {
-	Layer       string       `json:"layer"`
-	Group       string       `json:"group"`
-	Points      []SweepPoint `json:"points"`
-	ToleratedNM float64      `json:"tolerated_nm"`
-	Resilient   bool         `json:"resilient"`
-}
-
-// groupByName resolves a checkpointed group name back to its Group.
-func groupByName(name string) (noise.Group, bool) {
-	for _, g := range noise.Groups() {
-		if g.String() == name {
-			return g, true
-		}
-	}
-	return 0, false
-}
-
-// AnalyzeGroups is Step 2 + Step 3. With a non-nil a.Checkpoint a
-// finished analysis persists under the "groups" section (each individual
-// sweep checkpoints its own counts) and later runs return it directly.
+// AnalyzeGroups is Step 2 + Step 3. Each group's sweep checkpoints its
+// own counts, so a rerun over a finished checkpoint evaluates nothing and
+// marks the groups again from the resumed points.
 func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupResult, error) {
 	a.Opts = a.Opts.WithDefaults()
 	o := a.Opts
-	if a.Checkpoint != nil {
-		var recs []ckptGroup
-		if a.Checkpoint.Get("groups", &recs) && len(recs) > 0 {
-			out := make([]GroupResult, 0, len(recs))
-			ok := true
-			for _, r := range recs {
-				g, found := groupByName(r.Group)
-				if !found {
-					ok = false
-					break
-				}
-				out = append(out, GroupResult{
-					Group: g, Points: r.Points, ToleratedNM: r.ToleratedNM, Resilient: r.Resilient,
-				})
-			}
-			if ok {
-				a.Obs.Info("group analysis resumed from checkpoint", obs.F("groups", len(out)))
-				if a.Probes != nil {
-					// Probe stats are never checkpointed: a fully resumed
-					// analysis executes nothing and records nothing.
-					a.Obs.Warn("group analysis fully resumed; no probe stats recorded",
-						obs.F("hint", "use -checkpoint=false or a fresh -dir for a full probe capture"))
-				}
-				return out, nil
-			}
-		}
-	}
 	groups := a.ExtractGroups()
 	total := 0
 	for _, g := range noise.Groups() {
@@ -470,7 +372,7 @@ func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupRes
 		if len(groups[g]) == 0 {
 			continue
 		}
-		pts, err := a.sweepScoped(ctx, ScopeForGroup(g), clean, uint64(gi)*100000)
+		pts, err := a.Sweep(ctx, ScopeForGroup(g), clean, uint64(gi)*100000)
 		if err != nil {
 			return nil, fmt.Errorf("group sweep %s: %w", g, err)
 		}
@@ -488,51 +390,14 @@ func (a *Analyzer) AnalyzeGroups(ctx context.Context, clean float64) ([]GroupRes
 		out[i].Resilient = out[i].ToleratedNM >= maxNM ||
 			(out[i].ToleratedNM > med && out[i].ToleratedNM > 0)
 	}
-	if a.Checkpoint != nil {
-		recs := make([]ckptGroup, 0, len(out))
-		for _, g := range out {
-			recs = append(recs, ckptGroup{
-				Group: g.Group.String(), Points: g.Points,
-				ToleratedNM: g.ToleratedNM, Resilient: g.Resilient,
-			})
-		}
-		a.checkpointPut("groups", recs)
-	}
 	return out, nil
 }
 
 // AnalyzeLayers is Step 4 + Step 5: per-layer sweeps for each
-// non-resilient group. A finished analysis persists under the "layers"
-// checkpoint section, mirroring AnalyzeGroups.
+// non-resilient group, resumed and re-marked like AnalyzeGroups.
 func (a *Analyzer) AnalyzeLayers(ctx context.Context, groups []GroupResult, clean float64) ([]LayerResult, error) {
 	a.Opts = a.Opts.WithDefaults()
 	o := a.Opts
-	if a.Checkpoint != nil {
-		var recs []ckptLayer
-		if a.Checkpoint.Get("layers", &recs) {
-			out := make([]LayerResult, 0, len(recs))
-			ok := true
-			for _, r := range recs {
-				g, found := groupByName(r.Group)
-				if !found {
-					ok = false
-					break
-				}
-				out = append(out, LayerResult{
-					Layer: r.Layer, Group: g, Points: r.Points,
-					ToleratedNM: r.ToleratedNM, Resilient: r.Resilient,
-				})
-			}
-			if ok {
-				a.Obs.Info("layer analysis resumed from checkpoint", obs.F("layers", len(out)))
-				if a.Probes != nil {
-					a.Obs.Warn("layer analysis fully resumed; no probe stats recorded",
-						obs.F("hint", "use -checkpoint=false or a fresh -dir for a full probe capture"))
-				}
-				return out, nil
-			}
-		}
-	}
 	sitesByGroup := a.ExtractGroups()
 	total := 0
 	for _, gr := range groups {
@@ -549,7 +414,7 @@ func (a *Analyzer) AnalyzeLayers(ctx context.Context, groups []GroupResult, clea
 		var tols []float64
 		start := len(out)
 		for li, site := range sitesByGroup[gr.Group] {
-			pts, err := a.sweepScoped(ctx, ScopeForLayer(site.Layer, gr.Group), clean,
+			pts, err := a.Sweep(ctx, ScopeForLayer(site.Layer, gr.Group), clean,
 				uint64(gi+1)*10000000+uint64(li)*100000)
 			if err != nil {
 				return nil, fmt.Errorf("layer sweep %s/%s: %w", site.Layer, gr.Group, err)
@@ -568,16 +433,6 @@ func (a *Analyzer) AnalyzeLayers(ctx context.Context, groups []GroupResult, clea
 		for i := start; i < len(out); i++ {
 			out[i].Resilient = out[i].ToleratedNM >= med && med > 0
 		}
-	}
-	if a.Checkpoint != nil {
-		recs := make([]ckptLayer, 0, len(out))
-		for _, l := range out {
-			recs = append(recs, ckptLayer{
-				Layer: l.Layer, Group: l.Group.String(), Points: l.Points,
-				ToleratedNM: l.ToleratedNM, Resilient: l.Resilient,
-			})
-		}
-		a.checkpointPut("layers", recs)
 	}
 	return out, nil
 }
@@ -784,22 +639,10 @@ func NewPerSiteInjector(choices []Choice, seed uint64) *noise.PerSite {
 	return noise.NewPerSite(params, seed)
 }
 
-// Run executes the full 6-step methodology and assembles the report.
-// It is RunMethodology without cancellation; a worker panic (the only
-// failure mode left) propagates as a panic, preserving the historical
-// behavior for callers that never pass a context.
-func (a *Analyzer) Run(profiles []ComponentProfile) *Report {
-	r, err := a.RunMethodology(context.Background(), profiles)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // RunMethodology executes the full 6-step methodology and assembles the
 // report. Cancelling ctx stops the run at the next batch boundary with
-// ctx's error; with a non-nil a.Checkpoint, completed steps persist and
-// a rerun resumes bit-identically after the last checkpointed fold.
+// ctx's error; with a non-nil a.Checkpoint, every folded sweep persists
+// and a rerun resumes bit-identically after the last checkpointed fold.
 func (a *Analyzer) RunMethodology(ctx context.Context, profiles []ComponentProfile) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -808,7 +651,7 @@ func (a *Analyzer) RunMethodology(ctx context.Context, profiles []ComponentProfi
 	run := a.Obs.StartSpan("methodology.run",
 		obs.F("network", a.Net.Name()), obs.F("dataset", a.Data.Name))
 	sp := run.Child("methodology.clean_eval")
-	clean, err := a.CleanAccuracyCtx(ctx)
+	clean, err := a.Evaluate(ctx, nil, nil, "")
 	sp.End()
 	if err != nil {
 		return nil, err

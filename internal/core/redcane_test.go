@@ -18,7 +18,7 @@ import (
 // problem once, shared across the package's tests.
 var shared *Analyzer
 
-func sharedAnalyzer(t *testing.T) *Analyzer {
+func sharedAnalyzer(t testing.TB) *Analyzer {
 	t.Helper()
 	if shared != nil {
 		return shared
@@ -53,6 +53,17 @@ func sharedAnalyzer(t *testing.T) *Analyzer {
 		},
 	}
 	return shared
+}
+
+// runMethodology runs the full methodology with a background context,
+// failing the test on error.
+func runMethodology(t *testing.T, a *Analyzer, profiles []ComponentProfile) *Report {
+	t.Helper()
+	r, err := a.RunMethodology(context.Background(), profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func filterClasses(d *datasets.Dataset, k int) *datasets.Dataset {
@@ -190,7 +201,7 @@ func TestProfileLibraryDepthsMatchesPerComponentLoop(t *testing.T) {
 func TestFullRunReportShape(t *testing.T) {
 	a := sharedAnalyzer(t)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
-	r := a.Run(profiles)
+	r := runMethodology(t, a, profiles)
 
 	if r.CleanAccuracy < 0.8 {
 		t.Fatalf("clean accuracy %.2f", r.CleanAccuracy)
@@ -231,7 +242,7 @@ func TestFullRunReportShape(t *testing.T) {
 func TestResilientGroupsGetAggressiveComponents(t *testing.T) {
 	a := sharedAnalyzer(t)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
-	r := a.Run(profiles)
+	r := runMethodology(t, a, profiles)
 
 	power := map[noise.Group]float64{}
 	count := map[noise.Group]int{}

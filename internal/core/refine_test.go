@@ -54,7 +54,7 @@ func worstChoices(a *Analyzer, profiles []ComponentProfile) []Choice {
 
 func TestRefineMeetsTargetByUpgrading(t *testing.T) {
 	a := sharedAnalyzer(t)
-	clean := a.CleanAccuracy()
+	clean := oracleAccuracy(a, nil, nil)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	choices := worstChoices(a, profiles)
 
@@ -82,7 +82,7 @@ func TestRefineMeetsTargetByUpgrading(t *testing.T) {
 
 func TestRefineNoopWhenAlreadyGood(t *testing.T) {
 	a := sharedAnalyzer(t)
-	clean := a.CleanAccuracy()
+	clean := oracleAccuracy(a, nil, nil)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	// All-exact design: already meets any target.
 	choices := exactChoices(a, profiles[0])
@@ -116,7 +116,7 @@ func TestRefineStartsFromValidatedAccuracy(t *testing.T) {
 	// target has nothing to upgrade, so it ends unmet at that accuracy (a
 	// fresh noise-free evaluation would report the clean accuracy, met).
 	a := sharedAnalyzer(t)
-	clean := a.CleanAccuracy()
+	clean := oracleAccuracy(a, nil, nil)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	validated := clean - 0.1
 	res, err := a.Refine(context.Background(), exactChoices(a, profiles[0]), profiles, clean, validated, 0.02, 10)
@@ -133,7 +133,7 @@ func TestRefineValidatesUnderTheMethodologysDraw(t *testing.T) {
 	// exactly as the methodology validates a design, so its accuracy
 	// equals a fresh validation of the upgraded choices.
 	a := sharedAnalyzer(t)
-	clean := a.CleanAccuracy()
+	clean := oracleAccuracy(a, nil, nil)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
 	choices := worstChoices(a, profiles)
 	res, err := a.Refine(context.Background(), choices, profiles, clean, validatedAccuracy(t, a, choices), 0.05, 1)
@@ -151,7 +151,7 @@ func TestRefineValidatesUnderTheMethodologysDraw(t *testing.T) {
 func TestReportJSONExport(t *testing.T) {
 	a := sharedAnalyzer(t)
 	profiles := ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3)
-	r := a.Run(profiles)
+	r := runMethodology(t, a, profiles)
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)

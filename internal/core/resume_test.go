@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"redcane/internal/approx"
 	"redcane/internal/axe"
 	"redcane/internal/caps"
 	"redcane/internal/checkpoint"
@@ -88,7 +91,7 @@ func TestSweepSurfacesWorkerPanicWithCoordinates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		a := derived(t)
 		a.Opts.Workers = workers
-		_, err := a.Sweep(context.Background(), panicAfter(50), 0.9, 1)
+		_, err := sweepFilter(context.Background(), a, panicAfter(50), 0.9, 1)
 		var jp *JobPanicError
 		if !errors.As(err, &jp) {
 			t.Fatalf("workers=%d: error = %v, want *JobPanicError", workers, err)
@@ -154,7 +157,7 @@ func TestSweepCancelledMidRunReturnsContextError(t *testing.T) {
 		windows++
 		cancel()
 	}
-	_, err := a.Sweep(ctx, noise.ForGroup(noise.MACOutputs), 0.9, 1)
+	_, err := a.Sweep(ctx, ScopeForGroup(noise.MACOutputs), 0.9, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -164,7 +167,7 @@ func TestSweepCancelledMidRunReturnsContextError(t *testing.T) {
 }
 
 // resumeStore opens a checkpoint store in dir for the derived fixture.
-func resumeStore(t *testing.T, dir string, opts Options) (*checkpoint.Store, bool) {
+func resumeStore(t testing.TB, dir string, opts Options) (*checkpoint.Store, bool) {
 	t.Helper()
 	st, resumed, err := checkpoint.Open(dir, "test", 5, opts.Fingerprint())
 	if err != nil {
@@ -198,7 +201,7 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := a.Sweep(ctx, filter, clean, 9); !errors.Is(err, context.Canceled) {
+	if _, err := sweepFilter(ctx, a, filter, clean, 9); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error = %v", err)
 	}
 
@@ -251,16 +254,7 @@ func TestResumeRejectsImpossibleCheckpointSections(t *testing.T) {
 	if nb < 3 || n >= nb*batch {
 		t.Fatalf("fixture needs >= 3 batches and a short last one: n=%d nb=%d", n, nb)
 	}
-	cases := map[string]func(evals int) sweepState{
-		"negative count marked done": func(e int) sweepState { return sweepState{Correct: fill(e, -5), BatchesDone: 1, Done: true} },
-		"done before the last batch": func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: 1, Done: true} },
-		"all batches but not done":   func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: nb} },
-		"count above window size":    func(e int) sweepState { return sweepState{Correct: fill(e, batch+1), BatchesDone: 1} },
-		"count above split size":     func(e int) sweepState { return sweepState{Correct: fill(e, n+1), BatchesDone: nb, Done: true} },
-		"batches beyond the split":   func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: nb + 1, Done: true} },
-		"negative batches":           func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: -1} },
-		"wrong length":               func(e int) sweepState { return sweepState{Correct: fill(e+1, 0), BatchesDone: 1} },
-	}
+	cases := impossibleSections(a)
 	runs := []struct {
 		name, key string
 		evals     int
@@ -300,6 +294,143 @@ func TestResumeRejectsImpossibleCheckpointSections(t *testing.T) {
 	}
 }
 
+// impossibleSections lists, by what makes each one impossible, fold
+// sections no run over a's evaluation split could have written.
+func impossibleSections(a *Analyzer) map[string]func(evals int) sweepState {
+	_, nb := a.SweepGrid()
+	n, batch := a.Data.TestX.Shape[0], a.Opts.Batch
+	return map[string]func(evals int) sweepState{
+		"negative count marked done": func(e int) sweepState { return sweepState{Correct: fill(e, -5), BatchesDone: 1, Done: true} },
+		"done before the last batch": func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: 1, Done: true} },
+		"all batches but not done":   func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: nb} },
+		"count above window size":    func(e int) sweepState { return sweepState{Correct: fill(e, batch+1), BatchesDone: 1} },
+		"count above split size":     func(e int) sweepState { return sweepState{Correct: fill(e, n+1), BatchesDone: nb, Done: true} },
+		"batches beyond the split":   func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: nb + 1, Done: true} },
+		"negative batches":           func(e int) sweepState { return sweepState{Correct: fill(e, 0), BatchesDone: -1} },
+		"wrong length":               func(e int) sweepState { return sweepState{Correct: fill(e+1, 0), BatchesDone: 1} },
+	}
+}
+
+// fileSections decodes the sections of the checkpoint file at path.
+func fileSections(t testing.TB, path string) map[string]json.RawMessage {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Sections map[string]json.RawMessage `json:"sections"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	return file.Sections
+}
+
+func FuzzCheckpointResume(f *testing.F) {
+	// A fold's section is the only checkpoint state any reader decodes,
+	// so whatever bytes the checkpoint file holds, a sweep over it either
+	// resumes a section within resume's documented bounds and completes
+	// it with the remaining batches, or ends exactly like a fresh run.
+	ctx := context.Background()
+	scope := ScopeForGroup(noise.Softmax)
+	const clean, seedBase, key = 0.9, 27, "sweep-27"
+	fresh := derived(f)
+	fresh.Checkpoint, _ = resumeStore(f, f.TempDir(), fresh.Opts)
+	want, err := fresh.Sweep(ctx, scope, clean, seedBase)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wantSection := fileSections(f, fresh.Checkpoint.Path())[key]
+	evals := len(sweepEvals(fresh.Opts))
+	_, nb := fresh.SweepGrid()
+	n, batch := fresh.Data.TestX.Shape[0], fresh.Opts.Batch
+
+	written, err := os.ReadFile(fresh.Checkpoint.Path())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add(written[:len(written)/2])
+	f.Add(bytes.Replace(written, []byte(`"version": 1,`), []byte(`"version": 2,`), 1))
+	for _, section := range impossibleSections(fresh) {
+		st, _ := resumeStore(f, f.TempDir(), fresh.Opts)
+		if err := st.Put(key, section(evals)); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(st.Path())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
+	dir := f.TempDir()
+	path := checkpoint.Path(dir, "test", 5, fresh.Opts.Fingerprint())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Each input gets a new file, removed again once opened, so the
+		// store creates its file rather than replacing one: replacing a
+		// file can force a synchronous flush on some filesystems (ext4's
+		// auto_da_alloc), which throttles fuzzing to a few inputs a second.
+		// A removal that finds no file changes nothing, so its error is
+		// dropped.
+		_ = os.Remove(path)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// A corrupt file opens as a fresh store along with its parse error.
+		st, _, _ := checkpoint.Open(dir, "test", 5, fresh.Opts.Fingerprint())
+		_ = os.Remove(path)
+		// A copy of the fresh run's analyzer keeps its retained clean
+		// prefix, which spares each input the forward pass up to it.
+		w := *fresh
+		a := &w
+		a.Obs = obs.New(obs.Off, nil)
+		var loaded sweepState
+		decoded := st.Get(key, &loaded)
+		a.Checkpoint = st
+		got, err := a.Sweep(ctx, scope, clean, seedBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := a.Obs.Counter("sweep.resumed_jobs").Value()
+		if resumed == 0 {
+			samePoints(t, "fresh start", want, got)
+			// The store keeps any foreign sections it loaded, so only the
+			// sweep's own section must match the fresh run's bytes.
+			if s := fileSections(t, path)[key]; !bytes.Equal(s, wantSection) {
+				t.Fatalf("section %s = %s, want the fresh run's %s", key, s, wantSection)
+			}
+			return
+		}
+		if !decoded || len(loaded.Correct) != evals || loaded.BatchesDone < 1 || loaded.BatchesDone > nb ||
+			loaded.Done != (loaded.BatchesDone == nb) || resumed != int64(loaded.BatchesDone*evals) {
+			t.Fatalf("resumed %d jobs from section %+v (evals %d, nb %d)", resumed, loaded, evals, nb)
+		}
+		for _, c := range loaded.Correct {
+			if c < 0 || c > min(loaded.BatchesDone*batch, n) {
+				t.Fatalf("resumed a count outside [0, %d]: %+v", min(loaded.BatchesDone*batch, n), loaded)
+			}
+		}
+		rest := make([]int, evals)
+		if loaded.BatchesDone < nb {
+			if rest, err = a.EvalWindow(ctx, scope, seedBase, loaded.BatchesDone, nb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var done sweepState
+		if !st.Get(key, &done) || !done.Done || done.BatchesDone != nb || len(done.Correct) != evals {
+			t.Fatalf("resumed fold left section %+v", done)
+		}
+		for i, c := range done.Correct {
+			if c != loaded.Correct[i]+rest[i] {
+				t.Fatalf("count %d = %d, want resumed %d + remaining %d", i, c, loaded.Correct[i], rest[i])
+			}
+		}
+		samePoints(t, "resumed", assemblePoints(a.Opts, done.Correct, clean, n), got)
+	})
+}
+
 func fill(n, v int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -328,16 +459,10 @@ func TestSweepIgnoresCheckpointFromOtherOptions(t *testing.T) {
 	}
 }
 
-func TestAnalyzeGroupsAndLayersResumeFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	a := derived(t)
-	st, _ := resumeStore(t, dir, a.Opts)
-	a.Checkpoint = st
+// analyzeAll runs Steps 2–5 (the group and layer analyses) on a.
+func analyzeAll(t *testing.T, a *Analyzer, clean float64) ([]GroupResult, []LayerResult) {
+	t.Helper()
 	ctx := context.Background()
-	clean, err := a.CleanAccuracyCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	groups, err := a.AnalyzeGroups(ctx, clean)
 	if err != nil {
 		t.Fatal(err)
@@ -346,9 +471,20 @@ func TestAnalyzeGroupsAndLayersResumeFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return groups, layers
+}
+
+func TestAnalyzeGroupsAndLayersResumeFromCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	a := derived(t)
+	st, _ := resumeStore(t, dir, a.Opts)
+	a.Checkpoint = st
+	clean := oracleAccuracy(a, nil, nil)
+	groups, layers := analyzeAll(t, a, clean)
 
 	// A fresh analyzer over the same store must reproduce every step
-	// without scheduling a single sweep.
+	// from the folded sweep sections without evaluating a single job: each
+	// sweep still folds, from its finished section.
 	b := derived(t)
 	b.Obs = obs.New(obs.Off, nil)
 	st2, resumed := resumeStore(t, dir, b.Opts)
@@ -356,41 +492,84 @@ func TestAnalyzeGroupsAndLayersResumeFromCheckpoint(t *testing.T) {
 		t.Fatal("store not resumed")
 	}
 	b.Checkpoint = st2
-	clean2, err := b.CleanAccuracyCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
+	groups2, layers2 := analyzeAll(t, b, clean)
+	if v := b.Obs.Counter("sweep.jobs").Value(); v != 0 {
+		t.Fatalf("resumed analysis evaluated %d sweep jobs, want 0", v)
 	}
-	if clean2 != clean {
-		t.Fatalf("resumed clean accuracy %g != %g", clean2, clean)
+	_, nb := b.SweepGrid()
+	every := int64((len(groups) + len(layers)) * len(sweepEvals(b.Opts)) * nb)
+	if v := b.Obs.Counter("sweep.resumed_jobs").Value(); v != every {
+		t.Fatalf("resumed analysis skipped %d jobs, want every job of every sweep (%d)", v, every)
 	}
-	groups2, err := b.AnalyzeGroups(ctx, clean2)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(groups2, groups) || !reflect.DeepEqual(layers2, layers) {
+		t.Fatalf("resumed analysis differs:\n%+v\n%+v\nvs\n%+v\n%+v", groups2, layers2, groups, layers)
 	}
-	layers2, err := b.AnalyzeLayers(ctx, groups2, clean2)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestAnalysisNeverReadsDerivedSections(t *testing.T) {
+	// Checkpoints written before the fold became the only checkpoint
+	// writer also carry "clean", "groups" and "layers" sections holding
+	// finished results. The analysis derives its results from the sweep
+	// sections alone, so even deliberately wrong stale sections — every
+	// group and layer resilient at the largest NM — leave the results
+	// equal to a fresh run's.
+	fresh := derived(t)
+	clean := oracleAccuracy(fresh, nil, nil)
+	wantG, wantL := analyzeAll(t, fresh, clean)
+
+	a := derived(t)
+	st, _ := resumeStore(t, t.TempDir(), a.Opts)
+	type record struct {
+		Layer       string       `json:"layer,omitempty"`
+		Group       string       `json:"group"`
+		Points      []SweepPoint `json:"points"`
+		ToleratedNM float64      `json:"tolerated_nm"`
+		Resilient   bool         `json:"resilient"`
 	}
-	if v := b.Obs.Counter("sweep.sweeps").Value(); v != 0 {
-		t.Fatalf("resumed analysis ran %d sweeps, want 0", v)
-	}
-	if len(groups2) != len(groups) || len(layers2) != len(layers) {
-		t.Fatalf("resumed shapes differ: %d/%d groups, %d/%d layers",
-			len(groups2), len(groups), len(layers2), len(layers))
-	}
-	for i := range groups {
-		if groups2[i].Group != groups[i].Group || groups2[i].Resilient != groups[i].Resilient ||
-			groups2[i].ToleratedNM != groups[i].ToleratedNM {
-			t.Fatalf("group %d differs: %+v vs %+v", i, groups2[i], groups[i])
+	wrong := []SweepPoint{{NM: a.Opts.NMSweep[0], Accuracy: 1}}
+	var groups, layers []record
+	for _, g := range noise.Groups() {
+		sites := a.ExtractGroups()[g]
+		if len(sites) == 0 {
+			continue
 		}
-		samePoints(t, "resumed group points", groups[i].Points, groups2[i].Points)
-	}
-	for i := range layers {
-		if layers2[i].Layer != layers[i].Layer || layers2[i].Group != layers[i].Group ||
-			layers2[i].Resilient != layers[i].Resilient || layers2[i].ToleratedNM != layers[i].ToleratedNM {
-			t.Fatalf("layer %d differs: %+v vs %+v", i, layers2[i], layers[i])
+		groups = append(groups, record{Group: g.String(), Points: wrong, ToleratedNM: wrong[0].NM, Resilient: true})
+		for _, s := range sites {
+			layers = append(layers, record{Layer: s.Layer, Group: g.String(), Points: wrong, ToleratedNM: wrong[0].NM, Resilient: true})
 		}
-		samePoints(t, "resumed layer points", layers[i].Points, layers2[i].Points)
+	}
+	for key, v := range map[string]any{
+		"clean":  map[string]float64{"accuracy": 0.125},
+		"groups": groups,
+		"layers": layers,
+	} {
+		if err := st.Put(key, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Checkpoint = st
+	gotG, gotL := analyzeAll(t, a, clean)
+	if !reflect.DeepEqual(gotG, wantG) || !reflect.DeepEqual(gotL, wantL) {
+		t.Fatalf("analysis read stale derived sections:\n%+v\n%+v\nwant\n%+v\n%+v", gotG, gotL, wantG, wantL)
+	}
+}
+
+func TestMethodologyCheckpointHoldsOnlySweepSections(t *testing.T) {
+	// The fold is the only checkpoint writer, and a methodology run folds
+	// nothing but sweeps under a name: the clean baseline and the Step 6
+	// validation are unnamed evaluations.
+	a := derived(t)
+	st, _ := resumeStore(t, t.TempDir(), a.Opts)
+	a.Checkpoint = st
+	runMethodology(t, a, ProfileLibraryDepths(approx.Uniform{}, []int{9}, 2000, 3))
+	sections := fileSections(t, st.Path())
+	if len(sections) == 0 {
+		t.Fatal("methodology checkpoint has no sections")
+	}
+	for key := range sections {
+		if !strings.HasPrefix(key, "sweep-") {
+			t.Errorf("methodology checkpoint holds section %q", key)
+		}
 	}
 }
 

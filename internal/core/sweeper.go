@@ -32,7 +32,10 @@ import (
 //   - fold resumes from the checkpointed prefix, takes windows from a
 //     source in any order, folds them in ascending batch order and
 //     checkpoints each contiguous prefix. The sources are this process's
-//     worker pool (runLocal) and, for named sweeps, a remote Fleet.
+//     worker pool (runLocal) and, for sweeps, a remote Fleet
+//     (fleetSource). fold is the only reader and writer of checkpoint
+//     state: every analysis step above it re-derives its result from
+//     the folded counts.
 //
 // Three accelerations apply inside a window:
 //
@@ -290,30 +293,36 @@ func (a *Analyzer) prefixActivations(ctx context.Context, p *plan, b0, b1 int) (
 	return acts, nil
 }
 
-// Sweep measures accuracy across the NM grid with the given site filter
-// on this process's worker pool. seedBase namespaces the sweep's RNG
-// streams; reuse the same value to reproduce a sweep bit-for-bit,
-// regardless of Options.Workers. Cancelling ctx stops the sweep at a job
-// boundary with ctx's error; a worker panic surfaces as a *JobPanicError
-// naming the failing (point, trial, batch) job.
+// Sweep measures accuracy across the NM grid with noise at the sites
+// scope names. seedBase namespaces the sweep's RNG streams; reuse the same
+// value to reproduce a sweep bit-for-bit, regardless of Options.Workers
+// or of where its windows run. The sweep is one plan, probe-labelled by
+// its scope and folded through a.Fleet when the analyzer has one, on this
+// process's worker pool otherwise. Cancelling ctx stops the sweep at a
+// job boundary with ctx's error; a worker panic surfaces as a
+// *JobPanicError naming the failing (point, trial, batch) job.
 //
-// With a non-nil a.Checkpoint, the per-(point, trial) correct-counts are
-// persisted under the section "sweep-<seedBase>" when the fold completes
-// (a local fold is one window); a later call with the same options
-// returns them immediately, and one that finds a prefix folded by a
-// fleet resumes after it. Either way the points are bit-identical,
-// because every job's noise is a pure function of (seed, seedBase,
-// point, trial, batch).
-func (a *Analyzer) Sweep(ctx context.Context, filter noise.Filter, clean float64, seedBase uint64) ([]SweepPoint, error) {
+// With a non-nil a.Checkpoint, the per-(point, trial) correct-counts
+// persist under the section "sweep-<seedBase>" as windows fold; a later
+// call with the same options returns finished counts without evaluating
+// and resumes a partial section after its folded prefix, whichever
+// source wrote it. Either way the points are bit-identical, because
+// every job's noise is a pure function of (seed, seedBase, point, trial,
+// batch).
+func (a *Analyzer) Sweep(ctx context.Context, scope SweepScope, clean float64, seedBase uint64) ([]SweepPoint, error) {
+	filter, err := scope.Filter()
+	if err != nil {
+		return nil, err
+	}
 	p, err := a.sweepPlan(filter, seedBase)
 	if err != nil {
 		return nil, err
 	}
-	return a.foldPoints(ctx, p, a.runLocal, clean)
-}
-
-// foldPoints folds sweep plan p from src into its points.
-func (a *Analyzer) foldPoints(ctx context.Context, p *plan, src windowSource, clean float64) ([]SweepPoint, error) {
+	p.label = scope.probeLabel()
+	var src windowSource = a.runLocal
+	if a.Fleet != nil {
+		src = a.fleetSource(scope)
+	}
 	correct, err := a.fold(ctx, p, src)
 	if err != nil {
 		return nil, err
@@ -670,7 +679,12 @@ func (a *Analyzer) fold(ctx context.Context, p *plan, run windowSource) ([]int, 
 			}
 			next = r.B1
 			if p.persist {
-				a.checkpointPut(p.key, sweepState{Correct: correct, BatchesDone: next, Done: next == p.nb})
+				// A failed write degrades to a warning: the run continues,
+				// it just cannot resume from this window.
+				st := sweepState{Correct: correct, BatchesDone: next, Done: next == p.nb}
+				if err := a.Checkpoint.Put(p.key, st); err != nil {
+					a.Obs.Warn("checkpoint write failed", obs.F("section", p.key), obs.F("err", err))
+				}
 			}
 			if a.afterWindow != nil {
 				a.afterWindow(next, p.nb)

@@ -8,11 +8,26 @@ import (
 	"redcane/internal/noise"
 )
 
-// mustSweep runs a sweep with a background context, failing the test on
-// error — the ergonomic form for the many tests that never cancel.
+// sweepFilter folds the float sweep of an arbitrary site filter on this
+// process's worker pool: Sweep's local path for filters no SweepScope
+// names, checkpointed and probe-labelled "sweep-<seedBase>".
+func sweepFilter(ctx context.Context, a *Analyzer, filter noise.Filter, clean float64, seedBase uint64) ([]SweepPoint, error) {
+	p, err := a.sweepPlan(filter, seedBase)
+	if err != nil {
+		return nil, err
+	}
+	correct, err := a.fold(ctx, p, a.runLocal)
+	if err != nil {
+		return nil, err
+	}
+	return assemblePoints(a.Opts, correct, clean, p.n), nil
+}
+
+// mustSweep runs sweepFilter with a background context, failing the test
+// on error — the ergonomic form for the many tests that never cancel.
 func mustSweep(t *testing.T, a *Analyzer, filter noise.Filter, clean float64, seedBase uint64) []SweepPoint {
 	t.Helper()
-	pts, err := a.Sweep(context.Background(), filter, clean, seedBase)
+	pts, err := sweepFilter(context.Background(), a, filter, clean, seedBase)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -23,7 +38,7 @@ func mustSweep(t *testing.T, a *Analyzer, filter noise.Filter, clean float64, se
 // cache and a small batch size (the fixture's eval set is ~18 samples, so
 // batch 5 yields several batches to schedule and cache), so tests can
 // vary Options without touching the shared fixture.
-func derived(t *testing.T) *Analyzer {
+func derived(t testing.TB) *Analyzer {
 	t.Helper()
 	b := *sharedAnalyzer(t)
 	b.pcache = nil
@@ -92,15 +107,15 @@ func TestSweepWindowedMatchesCached(t *testing.T) {
 
 func TestLocalFoldIsOneWindow(t *testing.T) {
 	// With default options a local fold evaluates all of its batches as
-	// one window: a sweep, a scoped sweep and a backend evaluation each
-	// fold (and checkpoint) exactly once, after the last batch.
+	// one window: a group sweep, a layer sweep and a backend evaluation
+	// each fold (and checkpoint) exactly once, after the last batch.
 	for name, run := range map[string]func(*Analyzer) error{
-		"sweep": func(a *Analyzer) error {
-			_, err := a.Sweep(context.Background(), noise.ForGroup(noise.Softmax), 0.9, 3)
+		"group sweep": func(a *Analyzer) error {
+			_, err := a.Sweep(context.Background(), ScopeForGroup(noise.Softmax), 0.9, 3)
 			return err
 		},
-		"scoped sweep": func(a *Analyzer) error {
-			_, err := a.sweepScoped(context.Background(), ScopeForLayer("Conv2D", noise.MACOutputs), 0.9, 3)
+		"layer sweep": func(a *Analyzer) error {
+			_, err := a.Sweep(context.Background(), ScopeForLayer("Conv2D", noise.MACOutputs), 0.9, 3)
 			return err
 		},
 		"backend eval": func(a *Analyzer) error {

@@ -36,7 +36,7 @@ func (r *Runner) FaultSweep(b Benchmark, spec noise.Spec, ov Overrides) (*FaultS
 		return nil, err
 	}
 	ctx := r.ctx()
-	clean, err := a.CleanAccuracyCtx(ctx)
+	clean, err := a.Evaluate(ctx, nil, nil, "")
 	if err != nil {
 		return nil, err
 	}

@@ -119,7 +119,7 @@ func (r *Runner) GroupSweep(b Benchmark, ov Overrides) (*GroupSweepResult, error
 		return nil, err
 	}
 	ctx := r.ctx()
-	clean, err := a.CleanAccuracyCtx(ctx)
+	clean, err := a.Evaluate(ctx, nil, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +226,7 @@ func (r *Runner) LayerSweep(b Benchmark, ov Overrides) (*Fig10Result, error) {
 		return nil, err
 	}
 	ctx := r.ctx()
-	clean, err := a.CleanAccuracyCtx(ctx)
+	clean, err := a.Evaluate(ctx, nil, nil, "")
 	if err != nil {
 		return nil, err
 	}

@@ -52,11 +52,12 @@ type Config struct {
 	// resilience sweeps, refinement rounds) at the next batch boundary.
 	// A nil Ctx means run to completion (context.Background()).
 	Ctx context.Context
-	// Checkpoint persists completed analysis work (sweep windows,
-	// finished methodology steps) under Dir, keyed by (benchmark, seed,
-	// options fingerprint), so an interrupted design/refine/experiment
-	// run resumes bit-identically. Requires Dir (or CheckpointDir);
-	// cancellation works without it, resume does not.
+	// Checkpoint persists completed analysis work (the folded counts of
+	// every sweep and named backend evaluation) under Dir, keyed by
+	// (benchmark, seed, options fingerprint), so an interrupted
+	// design/refine/experiment run resumes bit-identically, re-deriving
+	// its finished methodology steps from those counts. Requires Dir (or
+	// CheckpointDir); cancellation works without it, resume does not.
 	Checkpoint bool
 	// CheckpointDir, when set, overrides where analysis checkpoints are
 	// written while the weight cache stays under Dir. The analysis

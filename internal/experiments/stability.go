@@ -36,7 +36,7 @@ func (r *Runner) Stability(b Benchmark, n int) (*StabilityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		clean, err := a.CleanAccuracyCtx(r.ctx())
+		clean, err := a.Evaluate(r.ctx(), nil, nil, "")
 		if err != nil {
 			return nil, err
 		}

@@ -130,7 +130,7 @@ func (r *Runner) Validate(b Benchmark, backendName string, bits uint) (*Validate
 		obs.F("benchmark", b.Key()), obs.F("backend", backendName), obs.F("bits", bits))
 	defer sp.End()
 
-	clean, err := a.CleanAccuracyCtx(ctx)
+	clean, err := a.Evaluate(ctx, nil, nil, "")
 	if err != nil {
 		return nil, err
 	}

@@ -128,7 +128,7 @@ func faultFleetRunFunc(fm chan *FleetManager) RunFunc {
 			fm <- m
 			a.Fleet = m.ForJob(filepath.Base(jobDir), spec.Benchmark, true, 0)
 		}
-		clean, err := a.CleanAccuracyCtx(ctx)
+		clean, err := a.Evaluate(ctx, nil, nil, "")
 		if err != nil {
 			return Artifacts{}, err
 		}

@@ -151,9 +151,10 @@ type FleetStatus struct {
 	Workers        map[string]int64 `json:"workers,omitempty"` // worker → ms since last seen
 }
 
-// fleetWindow is one lease unit of a registered sweep.
+// fleetWindow is one lease unit of a registered sweep: the one batch
+// [b0, b0+1).
 type fleetWindow struct {
-	b0, b1   int
+	b0       int
 	done     bool
 	leaseID  string // "" when unleased
 	worker   string
@@ -161,10 +162,12 @@ type fleetWindow struct {
 	expires  time.Time
 }
 
-// fleetSweep is one registered sweep: its wire descriptor, its windows,
-// and the channel the coordinator's fold loop reads.
+// fleetSweep is one registered sweep: its wire descriptor, its windows
+// (windows[i] is batch start+i), and the channel the coordinator's fold
+// loop reads.
 type fleetSweep struct {
 	wire      WireSweep
+	start     int
 	windows   []*fleetWindow
 	remaining int
 	results   chan core.WindowResult
@@ -319,10 +322,10 @@ func (m *FleetManager) runSweep(ctx context.Context, wire WireSweep, start int) 
 	}
 	var windows []*fleetWindow
 	for b := start; b < wire.NB; b++ {
-		windows = append(windows, &fleetWindow{b0: b, b1: b + 1})
+		windows = append(windows, &fleetWindow{b0: b})
 	}
 	fs := &fleetSweep{
-		wire: wire, windows: windows, remaining: len(windows),
+		wire: wire, start: start, windows: windows, remaining: len(windows),
 		results: make(chan core.WindowResult, len(windows)+1),
 		done:    make(chan struct{}),
 		ctx:     ctx,
@@ -412,7 +415,7 @@ func (m *FleetManager) Lease(worker string) (Lease, bool) {
 				// died (or stalled past its renewals). Reclaim and re-issue.
 				m.obs.Metrics().Counter("fleet.leases.expired").Inc()
 				m.obs.Warn("lease expired; window re-issued",
-					obs.F("sweep", id), obs.F("window", fmt.Sprintf("[%d,%d)", w.b0, w.b1)),
+					obs.F("sweep", id), obs.F("window", fmt.Sprintf("[%d,%d)", w.b0, w.b0+1)),
 					obs.F("worker", w.worker))
 				delete(m.leases, w.leaseID)
 			}
@@ -424,7 +427,7 @@ func (m *FleetManager) Lease(worker string) (Lease, bool) {
 			m.leases[w.leaseID] = leaseRef{sweepID: id, idx: i}
 			m.obs.Metrics().Counter("fleet.leases.issued").Inc()
 			return Lease{
-				LeaseID: w.leaseID, Sweep: fs.wire, B0: w.b0, B1: w.b1,
+				LeaseID: w.leaseID, Sweep: fs.wire, B0: w.b0, B1: w.b0 + 1,
 				TTLMs: m.ttl.Milliseconds(),
 			}, true
 		}
@@ -479,7 +482,7 @@ func (m *FleetManager) Release(leaseID, worker string) bool {
 	w.worker = ""
 	m.obs.Metrics().Counter("fleet.leases.released").Inc()
 	m.obs.Info("lease released; window back to pending",
-		obs.F("sweep", ref.sweepID), obs.F("window", fmt.Sprintf("[%d,%d)", w.b0, w.b1)),
+		obs.F("sweep", ref.sweepID), obs.F("window", fmt.Sprintf("[%d,%d)", w.b0, w.b0+1)),
 		obs.F("worker", worker))
 	return true
 }
@@ -509,16 +512,11 @@ func (m *FleetManager) Complete(req completeRequest) (string, error) {
 	if !ok {
 		return "", errUnknownSweep
 	}
-	var w *fleetWindow
-	for _, cand := range fs.windows {
-		if cand.b0 == req.B0 && cand.b1 == req.B1 {
-			w = cand
-			break
-		}
-	}
-	if w == nil {
+	i := req.B0 - fs.start
+	if req.B1 != req.B0+1 || i < 0 || i >= len(fs.windows) {
 		return "", fmt.Errorf("fleet: sweep %s has no window [%d, %d)", req.SweepID, req.B0, req.B1)
 	}
+	w := fs.windows[i]
 	if len(req.Correct) != fs.wire.Evals {
 		return "", fmt.Errorf("fleet: window [%d, %d) completion carries %d counts, want %d",
 			req.B0, req.B1, len(req.Correct), fs.wire.Evals)

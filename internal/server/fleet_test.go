@@ -178,8 +178,12 @@ func TestFleetManagerDuplicateAndUnleasedCompletions(t *testing.T) {
 	if _, err := m.Complete(completeRequest{SweepID: "j1/s1", B0: 1, B1: 2, Correct: []int{1, 2}}); err == nil {
 		t.Fatal("wrong-width completion accepted")
 	}
-	if _, err := m.Complete(completeRequest{SweepID: "j1/s1", B0: 5, B1: 6, Correct: []int{1}}); err == nil {
-		t.Fatal("unknown-window completion accepted")
+	// A window is one registered batch; any other range names none.
+	for _, bad := range [][2]int{{5, 6}, {0, 2}, {-1, 0}} {
+		if _, err := m.Complete(completeRequest{SweepID: "j1/s1", B0: bad[0], B1: bad[1], Correct: []int{1}}); err == nil ||
+			!strings.Contains(err.Error(), "has no window") {
+			t.Fatalf("completion of [%d, %d): %v, want no such window", bad[0], bad[1], err)
+		}
 	}
 
 	if status, err := m.Complete(completeRequest{SweepID: "j1/s1", B0: 1, B1: 2, Correct: []int{9}}); err != nil || status != CompleteOK {
@@ -191,6 +195,23 @@ func TestFleetManagerDuplicateAndUnleasedCompletions(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("channel delivered %d results, want 2 (the duplicate folded)", n)
+	}
+
+	// A sweep resumed at batch 1 registers only [1, 2): batch 0 is
+	// already folded, so completing it names no window.
+	resumed, err := m.runSweep(context.Background(), testWireSweep("j1/s2", 1, 2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Complete(completeRequest{SweepID: "j1/s2", B0: 0, B1: 1, Correct: []int{1}}); err == nil ||
+		!strings.Contains(err.Error(), "has no window") {
+		t.Fatalf("completion of a batch before the resumed start: %v, want no such window", err)
+	}
+	if status, err := m.Complete(completeRequest{SweepID: "j1/s2", B0: 1, B1: 2, Correct: []int{1}}); err != nil || status != CompleteOK {
+		t.Fatalf("resumed sweep's window: %q, %v", status, err)
+	}
+	if r := <-resumed; r.B0 != 1 || r.B1 != 2 {
+		t.Fatalf("resumed sweep delivered [%d, %d), want [1, 2)", r.B0, r.B1)
 	}
 }
 
@@ -429,7 +450,7 @@ func fleetRunFunc(fm chan *FleetManager) RunFunc {
 			fm <- m
 			a.Fleet = m.ForJob(filepath.Base(jobDir), spec.Benchmark, true, 0)
 		}
-		clean, err := a.CleanAccuracyCtx(ctx)
+		clean, err := a.Evaluate(ctx, nil, nil, "")
 		if err != nil {
 			return Artifacts{}, err
 		}
@@ -453,7 +474,7 @@ func fleetBaseline(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := a.CleanAccuracyCtx(context.Background())
+	clean, err := a.Evaluate(context.Background(), nil, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

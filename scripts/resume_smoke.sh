@@ -6,7 +6,8 @@
 #   scripts/resume_smoke.sh [workdir]
 #
 # Exits non-zero when the interrupted exit code is wrong, the rerun fails,
-# or the resumed report differs from the reference.
+# the resumed report differs from the reference, or the checkpoint holds a
+# section the engine's fold did not write.
 set -eu
 
 work=${1:-$(mktemp -d)}
@@ -30,9 +31,9 @@ cp "$refdir"/*.gob "$intdir"/
 echo "== interrupted run =="
 "$bin" $common -dir "$intdir" -json "$work/int1.json" design capsnet-mnist-like &
 pid=$!
-# Interrupt as soon as the first checkpoint section lands (the clean
-# accuracy, written right as the analysis sweeps begin), so the signal
-# arrives mid-analysis rather than during the cached-weight load.
+# Interrupt as soon as the first checkpoint section lands (written when
+# the first group sweep completes), so the signal arrives mid-analysis
+# rather than during the cached-weight load.
 i=0
 while [ "$i" -lt 600 ]; do
     if ls "$intdir"/ckpt-*.json >/dev/null 2>&1; then break; fi
@@ -59,4 +60,12 @@ if ! cmp -s "$work/ref.json" "$work/int2.json"; then
     diff "$work/ref.json" "$work/int2.json" || true
     exit 1
 fi
+# The fold is the only checkpoint writer: every section is a sweep's.
+for f in "$intdir"/ckpt-*.json; do
+    if ! jq -e '.sections | keys | all(startswith("sweep-"))' "$f" >/dev/null; then
+        echo "FAIL: $f holds a section no sweep fold wrote"
+        jq '.sections | keys' "$f"
+        exit 1
+    fi
+done
 echo "PASS: resumed report byte-identical to uninterrupted run"
