@@ -8,11 +8,13 @@
 // results-affecting option and the sweep engine is counter-seeded, a
 // resumed run reproduces an uninterrupted one bit-for-bit.
 //
-// Writes are crash-safe: the file is rewritten to a temporary sibling
-// and renamed into place, so a checkpoint is either the previous
-// consistent state or the new one, never a torn write. A file whose
-// (name, seed, fingerprint) no longer matches — the options changed —
-// is ignored and overwritten on the next Put.
+// A process that dies at any point of a write leaves the previous state
+// or the new one for the next Open, never a torn mix. Nothing is synced,
+// so no write is durable across a power cut: one may lose or empty the
+// file, which then opens as absent or corrupt, and the run recomputes
+// what it held. A file whose (name, seed, fingerprint) no longer
+// matches — the options changed — is ignored and overwritten on the next
+// Put.
 package checkpoint
 
 import (
@@ -72,6 +74,12 @@ func sanitize(s string) string {
 // not match (the options changed since it was written) is ignored. A
 // present-but-corrupt file yields a fresh Store plus the parse error, so
 // callers can surface the loss instead of silently recomputing.
+//
+// A missing file with its temporary beside it is a write that stopped
+// after removing the file: the temporary is read in its place and, if it
+// resumes, renamed into place, since the next write would otherwise
+// truncate the only copy. A temporary torn by a first write cut short
+// fails to parse and never resumes.
 func Open(dir, name string, seed uint64, fingerprint string) (st *Store, resumed bool, err error) {
 	st = &Store{
 		path: Path(dir, name, seed, fingerprint),
@@ -80,20 +88,30 @@ func Open(dir, name string, seed uint64, fingerprint string) (st *Store, resumed
 			Sections: map[string]json.RawMessage{},
 		},
 	}
-	data, err := os.ReadFile(st.path)
+	path := st.path
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		path = st.tmp()
+		data, err = os.ReadFile(path)
+	}
 	if errors.Is(err, fs.ErrNotExist) {
 		return st, false, nil
 	}
 	if err != nil {
-		return st, false, fmt.Errorf("checkpoint: read %s: %w", st.path, err)
+		return st, false, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
 	var loaded state
 	if err := json.Unmarshal(data, &loaded); err != nil {
-		return st, false, fmt.Errorf("checkpoint: corrupt file %s: %w", st.path, err)
+		return st, false, fmt.Errorf("checkpoint: corrupt file %s: %w", path, err)
 	}
 	if loaded.Version != Version || loaded.Name != name ||
 		loaded.Seed != seed || loaded.Fingerprint != fingerprint {
 		return st, false, nil
+	}
+	if path != st.path {
+		if err := os.Rename(path, st.path); err != nil {
+			return st, false, fmt.Errorf("checkpoint: %w", err)
+		}
 	}
 	if loaded.Sections == nil {
 		loaded.Sections = map[string]json.RawMessage{}
@@ -117,7 +135,7 @@ func (s *Store) Get(key string, v any) bool {
 	return json.Unmarshal(raw, v) == nil
 }
 
-// Put stores v under key and atomically rewrites the checkpoint file.
+// Put stores v under key and rewrites the checkpoint file.
 func (s *Store) Put(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -129,7 +147,14 @@ func (s *Store) Put(key string, v any) error {
 	return s.save()
 }
 
-// save writes the whole state via a temp file + rename (crash-safe).
+// tmp is the temporary sibling a write goes through.
+func (s *Store) tmp() string { return s.path + ".tmp" }
+
+// save writes the whole state to the temporary, removes the file and
+// renames the temporary into the freed name. A process that dies before
+// the removal leaves the old file; one that dies after it leaves the
+// complete temporary, which Open resumes. No existing file is renamed
+// over or truncated, so ext4 (auto_da_alloc) forces no flush per write.
 // Callers hold s.mu.
 func (s *Store) save() error {
 	data, err := json.MarshalIndent(&s.state, "", " ")
@@ -139,11 +164,13 @@ func (s *Store) save() error {
 	if err := os.MkdirAll(filepath.Dir(s.path), 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(s.tmp(), data, 0o644); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, s.path); err != nil {
+	if err := os.Remove(s.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := os.Rename(s.tmp(), s.path); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

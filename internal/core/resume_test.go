@@ -240,6 +240,38 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+func TestCheckpointWriteTimerCountsPersistedFolds(t *testing.T) {
+	// Every persisted fold times its one checkpoint write into
+	// sweep.checkpoint_write, sweeps and named backend evaluations alike;
+	// a run without a store writes, and times, nothing.
+	ctx := context.Background()
+	a := derived(t)
+	a.windowBatches = 1 // single-batch windows: one fold per batch
+	a.Obs = obs.New(obs.Off, nil)
+	a.Checkpoint, _ = resumeStore(t, t.TempDir(), a.Opts)
+	folds := 0
+	a.afterWindow = func(done, total int) { folds++ }
+	if _, err := a.Sweep(ctx, ScopeForGroup(noise.Softmax), 0.9, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.EvalBackend(ctx, axe.QuantExact{Bits: 8}, "timed-eval"); err != nil {
+		t.Fatal(err)
+	}
+	if _, nb := a.SweepGrid(); folds != 2*nb {
+		t.Fatalf("folded %d windows, want %d", folds, 2*nb)
+	}
+	if n := a.Obs.Timer("sweep.checkpoint_write").Count(); n != int64(folds) {
+		t.Fatalf("sweep.checkpoint_write count = %d, want one per persisted fold (%d)", n, folds)
+	}
+
+	b := derived(t)
+	b.Obs = obs.New(obs.Off, nil)
+	mustSweep(t, b, noise.ForGroup(noise.Softmax), 0.9, 3)
+	if n := b.Obs.Timer("sweep.checkpoint_write").Count(); n != 0 {
+		t.Fatalf("sweep.checkpoint_write count = %d without a store, want 0", n)
+	}
+}
+
 func TestResumeRejectsImpossibleCheckpointSections(t *testing.T) {
 	// A checkpoint section no run could have written must never be folded
 	// into a result: the fold warns, starts over, and ends with the same
@@ -368,10 +400,10 @@ func FuzzCheckpointResume(f *testing.F) {
 	dir := f.TempDir()
 	path := checkpoint.Path(dir, "test", 5, fresh.Opts.Fingerprint())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Each input gets a new file, removed again once opened, so the
-		// store creates its file rather than replacing one: replacing a
-		// file can force a synchronous flush on some filesystems (ext4's
-		// auto_da_alloc), which throttles fuzzing to a few inputs a second.
+		// Each input gets a new file: removing the last input's file first
+		// keeps this write from truncating an existing file, which can
+		// force a synchronous flush on some filesystems (ext4's
+		// auto_da_alloc) and throttles fuzzing to a few inputs a second.
 		// A removal that finds no file changes nothing, so its error is
 		// dropped.
 		_ = os.Remove(path)
@@ -380,7 +412,6 @@ func FuzzCheckpointResume(f *testing.F) {
 		}
 		// A corrupt file opens as a fresh store along with its parse error.
 		st, _, _ := checkpoint.Open(dir, "test", 5, fresh.Opts.Fingerprint())
-		_ = os.Remove(path)
 		// A copy of the fresh run's analyzer keeps its retained clean
 		// prefix, which spares each input the forward pass up to it.
 		w := *fresh

@@ -682,7 +682,10 @@ func (a *Analyzer) fold(ctx context.Context, p *plan, run windowSource) ([]int, 
 				// A failed write degrades to a warning: the run continues,
 				// it just cannot resume from this window.
 				st := sweepState{Correct: correct, BatchesDone: next, Done: next == p.nb}
-				if err := a.Checkpoint.Put(p.key, st); err != nil {
+				put := time.Now()
+				err := a.Checkpoint.Put(p.key, st)
+				a.Obs.Timer("sweep.checkpoint_write").Observe(time.Since(put))
+				if err != nil {
 					a.Obs.Warn("checkpoint write failed", obs.F("section", p.key), obs.F("err", err))
 				}
 			}

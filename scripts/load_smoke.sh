@@ -60,6 +60,32 @@ submit() { # $1 = key, $2 = spec json; prints job id, or "REJECTED"
 
 state_of() { curl -sf -H "X-API-Key: ka-secret" "$base/v1/jobs/$1" | jq -r .state; }
 
+wait_started() { # $1 = job id, $2 = whose job; returns once it left the queue
+    i=0
+    while [ "$(state_of "$1")" = "queued" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 3000 ]; then
+            echo "FAIL: $2 never left the queue"
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
+# started_before A B succeeds when job A has started and job B started
+# after it or not at all. Both start times come from the server's clock,
+# so the scheduling checks below hold however fast a sweep finishes; a
+# poll's view of states would race a sweep that runs in a tenth of a
+# second.
+started_before() {
+    for id in "$1" "$2"; do
+        curl -sf -H "X-API-Key: ka-secret" "$base/v1/jobs/$id"
+    done | jq -se '
+        def start: if .state == "queued" or (.started | startswith("0001-")) then "~"
+            else .started | capture("^(?<s>.{19})(?<f>\\.[0-9]+)?") | .s + ((.f // ".") + "000000000")[0:10] end;
+        length == 2 and (.[0] | start) != "~" and (.[0] | start) < (.[1] | start)' >/dev/null
+}
+
 sweep='{"kind":"group-sweep","benchmark":"capsnet-mnist-like","nm_sweep":[0.2]}'
 
 echo "== keyed server refuses anonymous and unknown-key submissions =="
@@ -75,8 +101,15 @@ fi
 echo "PASS: 401 without a valid key"
 
 echo "== burst: quota bounds the queue with 429s =="
-# alice bursts well past her max_queued=3; the first fills the slot, up
-# to three more queue, the rest must bounce instead of growing the queue.
+# A validate of bob's holds the slot for seconds, so all of alice's burst
+# waits: up to her max_queued=3 queue, the rest must bounce instead of
+# growing the queue.
+blocker=$(submit kb-secret '{"kind":"validate"}')
+if [ "$blocker" = "REJECTED" ]; then
+    echo "FAIL: the slot-holding validate was rejected"
+    exit 1
+fi
+wait_started "$blocker" "the slot-holding validate"
 ids=""
 rejected=0
 for n in 1 2 3 4 5 6 7 8; do
@@ -88,8 +121,8 @@ for n in 1 2 3 4 5 6 7 8; do
     fi
 done
 depth=$(curl -sf "$base/healthz" | jq -r .queue_depth)
-if [ "$rejected" -lt 4 ]; then
-    echo "FAIL: burst of 8 saw only $rejected rejections (quota 3 + 1 slot)"
+if [ "$rejected" -lt 5 ]; then
+    echo "FAIL: burst of 8 saw only $rejected rejections (quota 3, slot held)"
     exit 1
 fi
 if [ "$depth" -gt "$queue_cap" ]; then
@@ -99,57 +132,35 @@ fi
 echo "PASS: $rejected/8 burst submissions answered 429, queue depth $depth <= $queue_cap"
 
 echo "== priority: a late high-priority job overtakes queued normal work =="
-# With the slot busy on alice's burst, bob queues a high-priority
-# validate after her normal sweeps. No preemption — but every time the
-# slot frees, the high-priority job must win it, so it finishes while
-# alice still has normal jobs waiting.
+# bob queues a high-priority validate after alice's sweeps. No
+# preemption — but when the slot frees, the high-priority job must win
+# it ahead of every sweep alice queued before it.
 vjob=$(submit kb-secret '{"kind":"validate","priority":"high"}')
 if [ "$vjob" = "REJECTED" ]; then
     echo "FAIL: high-priority submit rejected"
     exit 1
 fi
-i=0
-while [ "$(state_of "$vjob")" != "done" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 3000 ]; then
-        echo "FAIL: high-priority job never finished"
+wait_started "$vjob" "the high-priority job"
+for id in $ids; do
+    if ! started_before "$vjob" "$id"; then
+        echo "FAIL: alice's normal job $id started before the high-priority job"
         exit 1
     fi
-    sleep 0.1
 done
-queued_normal=0
-for id in $ids; do
-    [ "$(state_of "$id")" = "queued" ] && queued_normal=$((queued_normal + 1))
-done
-if [ "$queued_normal" -lt 1 ]; then
-    echo "FAIL: high-priority job finished only after the whole normal queue"
-    exit 1
-fi
-echo "PASS: high-priority validate done with $queued_normal normal jobs still queued"
+echo "PASS: high-priority validate started ahead of alice's queued sweeps"
 
 echo "== fairness: one tenant's backlog cannot starve another's job =="
-# bob queues a single normal job behind alice's remaining backlog; the
-# round-robin hands him the next free slot, so his job starts before
-# alice's last queued one.
+# While the validate holds the slot, bob queues a single normal job
+# behind alice's backlog; the round-robin hands him a slot before
+# alice's last queued job.
 bjob=$(submit kb-secret "$sweep")
-alast=""
-for id in $ids; do
-    [ "$(state_of "$id")" = "queued" ] && alast=$id
-done
+alast=${ids##* }
 if [ "$bjob" = "REJECTED" ] || [ -z "$alast" ]; then
     echo "FAIL: could not stage the fairness scenario (bob=$bjob, alice backlog empty)"
     exit 1
 fi
-i=0
-while [ "$(state_of "$bjob")" = "queued" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 3000 ]; then
-        echo "FAIL: bob's job never left the queue"
-        exit 1
-    fi
-    sleep 0.1
-done
-if [ "$(state_of "$alast")" != "queued" ]; then
+wait_started "$bjob" "bob's job"
+if ! started_before "$bjob" "$alast"; then
     echo "FAIL: alice's last job beat bob's into the slot despite the round-robin"
     exit 1
 fi
