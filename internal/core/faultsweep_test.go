@@ -128,7 +128,8 @@ func TestSweepRejectsUnknownInjectorKind(t *testing.T) {
 	}
 	b := derived(t)
 	b.Opts.Noise = noise.Spec{Kind: "cosmic-ray"}
-	if _, err := b.EvalWindow(context.Background(), ScopeForGroup(noise.MACOutputs), 1, 0, 1); err == nil {
+	job := SweepJob{Key: "sweep-1", SeedBase: 1, Scope: ScopeForGroup(noise.MACOutputs), Opts: b.Opts}
+	if _, err := b.EvalWindow(context.Background(), job, 0, 1); err == nil {
 		t.Fatal("EvalWindow accepted an unknown injector kind")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"redcane/internal/caps"
@@ -72,12 +73,13 @@ func (s SweepScope) probeLabel() string {
 	return "groups/" + s.String()
 }
 
-// SweepJob describes one sweep for remote execution. Everything a worker
-// needs to reproduce a window bit-identically travels here: the scope,
-// the seed namespace, and the results-affecting options. Evals and NB are
-// the coordinator's view of the evaluation grid; workers recompute both
-// and refuse mismatches, which catches drift (different dataset size,
-// options, or code) before a wrong count is folded.
+// SweepJob describes one sweep for remote execution; it is the sweep
+// half of the fleet wire. Everything a worker needs to reproduce a window
+// bit-identically travels here: the scope, the seed namespace and the
+// results-affecting options. Key, Evals, NB and Examples are the
+// coordinator's derivation of the sweep's grid. sweepJob derives them on
+// both sides, and a worker refuses a job whose derivation differs from
+// its own (ErrJobMismatch) before a wrong count is folded.
 type SweepJob struct {
 	// Key is the sweep's checkpoint key ("sweep-<seedBase>"), unique
 	// within one analysis.
@@ -95,6 +97,33 @@ type SweepJob struct {
 	// correct counts (the last batch is usually short of Opts.Batch); the
 	// coordinator uses it to reject impossible completions.
 	Examples int `json:"examples"`
+}
+
+// ErrJobMismatch reports a SweepJob that this analyzer derives
+// differently: another dataset size, another build, or a descriptor
+// without a key. The sweep cannot be evaluated here, unlike a window
+// whose evaluation failed.
+var ErrJobMismatch = errors.New("sweep job does not match this worker's derivation")
+
+// sweepJob lays out scope's sweep under seedBase: the plan this process
+// folds or evaluates windows of, and the SweepJob that carries it over
+// the fleet wire. It is the one derivation of a sweep's grid. Sweep
+// registers the descriptor it returns, and EvalWindow derives it again on
+// the worker.
+func (a *Analyzer) sweepJob(scope SweepScope, seedBase uint64) (*plan, SweepJob, error) {
+	filter, err := scope.Filter()
+	if err != nil {
+		return nil, SweepJob{}, err
+	}
+	p, err := a.sweepPlan(filter, seedBase)
+	if err != nil {
+		return nil, SweepJob{}, err
+	}
+	p.label = scope.probeLabel()
+	return p, SweepJob{
+		Key: p.key, SeedBase: seedBase, Scope: scope, Opts: a.Opts,
+		Evals: len(p.evals), NB: p.nb, Examples: p.n,
+	}, nil
 }
 
 // WindowResult is one completed batch window [B0, B1): the per-(point,
@@ -116,19 +145,25 @@ type Fleet interface {
 }
 
 // EvalWindow is the worker-side entry point of distributed sweeps: it
-// evaluates every (point, trial) job of the batch window [b0, b1) and
-// returns the per-(point, trial) correct counts summed over the window's
-// batches — the exact integers the local engine folds, computed by the
-// same windowJobs path, so a fleet fold is bit-identical to a
-// single-process run.
-func (a *Analyzer) EvalWindow(ctx context.Context, scope SweepScope, seedBase uint64, b0, b1 int) ([]int, error) {
-	filter, err := scope.Filter()
+// evaluates every (point, trial) job of job's batch window [b0, b1) under
+// job's options, on this analyzer's network and data with its own worker
+// count, and returns the per-(point, trial) correct counts summed over the
+// window's batches — the exact integers the local engine folds, computed
+// by the same windowJobs path, so a fleet fold is bit-identical to a
+// single-process run. A job whose Key, Evals, NB or Examples differ from
+// this analyzer's derivation is refused with an error wrapping
+// ErrJobMismatch.
+func (a *Analyzer) EvalWindow(ctx context.Context, job SweepJob, b0, b1 int) ([]int, error) {
+	workers := a.Opts.Workers
+	a.Opts = job.Opts
+	a.Opts.Workers = workers
+	p, own, err := a.sweepJob(job.Scope, job.SeedBase)
 	if err != nil {
 		return nil, err
 	}
-	p, err := a.sweepPlan(filter, seedBase)
-	if err != nil {
-		return nil, err
+	if own.Key != job.Key || own.Evals != job.Evals || own.NB != job.NB || own.Examples != job.Examples {
+		return nil, fmt.Errorf("%w: coordinator sends %q with %d evals × %d batches of %d examples, this worker derives %q with %d × %d of %d",
+			ErrJobMismatch, job.Key, job.Evals, job.NB, job.Examples, own.Key, own.Evals, own.NB, own.Examples)
 	}
 	if b0 < 0 || b1 <= b0 || b1 > p.nb {
 		return nil, fmt.Errorf("window [%d, %d) out of range (nb=%d)", b0, b1, p.nb)
@@ -140,45 +175,29 @@ func (a *Analyzer) EvalWindow(ctx context.Context, scope SweepScope, seedBase ui
 	return windowSums(jobCorrect, len(p.evals), b1-b0), nil
 }
 
-// SweepGrid returns the coordinator's view of a sweep's work grid under
-// the analyzer's options: the number of noisy (point, trial) evaluations
-// and the total batch count. Workers recompute the same pair as a drift
-// guard.
-func (a *Analyzer) SweepGrid() (evals, nb int) {
-	o := a.Opts.WithDefaults()
-	x, _ := a.evalData()
-	n := x.Shape[0]
-	return len(sweepEvals(o)), (n + o.Batch - 1) / o.Batch
-}
-
-// fleetSource is the remote window source of scope's sweep: it registers
+// fleetSource is the remote window source of job's sweep: it registers
 // the sweep's unfolded batches with a.Fleet and emits each window's
-// counts as they come back. It takes the scope, not the plan's filter,
-// because only a scope crosses the wire. Both sources feed the same fold
-// and checkpoint section, so a fleet run resumes a local checkpoint and
-// vice versa.
-func (a *Analyzer) fleetSource(scope SweepScope) windowSource {
+// counts as they come back. Both sources feed the same fold and
+// checkpoint section, so a fleet run resumes a local checkpoint and vice
+// versa.
+func (a *Analyzer) fleetSource(job SweepJob) windowSource {
 	if a.Probes != nil {
 		// Probe recorders live on the workers' passes and never travel the
 		// wire; a distributed sweep records no probe stats.
-		a.Obs.Warn("probes are not collected over a fleet", obs.F("sweep", scope.String()))
+		a.Obs.Warn("probes are not collected over a fleet", obs.F("sweep", job.Scope.String()))
 	}
 	return func(ctx context.Context, p *plan, start int, emit func(WindowResult, [][]caps.ProbeLayerStats)) error {
-		job := SweepJob{
-			Key: p.key, SeedBase: p.seedBase, Scope: scope,
-			Opts: a.Opts, Evals: len(p.evals), NB: p.nb, Examples: p.n,
-		}
 		a.Obs.Info("sweep distributed to fleet",
-			obs.F("sweep", p.key), obs.F("scope", scope.String()),
-			obs.F("windows", p.nb-start), obs.F("evals", len(p.evals)))
+			obs.F("sweep", job.Key), obs.F("scope", job.Scope.String()),
+			obs.F("windows", job.NB-start), obs.F("evals", job.Evals))
 		ch, err := a.Fleet.RunSweep(ctx, job, start)
 		if err != nil {
 			return err
 		}
 		for res := range ch {
-			if len(res.Correct) != len(p.evals) {
+			if len(res.Correct) != job.Evals {
 				return fmt.Errorf("fleet window [%d, %d) returned %d counts, want %d",
-					res.B0, res.B1, len(res.Correct), len(p.evals))
+					res.B0, res.B1, len(res.Correct), job.Evals)
 			}
 			emit(res, nil)
 		}

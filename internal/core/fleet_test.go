@@ -28,8 +28,7 @@ func (f *stubFleet) RunSweep(ctx context.Context, job SweepJob, start int) (<-ch
 	f.gotStart = start
 	var results []WindowResult
 	for b := start; b < job.NB; b++ {
-		f.worker.Opts = job.Opts
-		correct, err := f.worker.EvalWindow(ctx, job.Scope, job.SeedBase, b, b+1)
+		correct, err := f.worker.EvalWindow(ctx, job, b, b+1)
 		if err != nil {
 			return nil, err
 		}
@@ -78,18 +77,21 @@ func TestEvalWindowFoldsLikeOneBigWindow(t *testing.T) {
 	// Summing single-batch windows must equal one full-range window: the
 	// per-batch counts are independent integers (the fleet invariant).
 	a := derived(t)
-	scope := ScopeForGroup(noise.MACOutputs)
-	_, nb := a.SweepGrid()
+	_, job, err := a.sweepJob(ScopeForGroup(noise.MACOutputs), 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := job.NB
 	if nb < 2 {
 		t.Fatalf("fixture yields %d batches; need >= 2", nb)
 	}
-	whole, err := a.EvalWindow(context.Background(), scope, 31, 0, nb)
+	whole, err := a.EvalWindow(context.Background(), job, 0, nb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := make([]int, len(whole))
 	for b := 0; b < nb; b++ {
-		w, err := derived(t).EvalWindow(context.Background(), scope, 31, b, b+1)
+		w, err := derived(t).EvalWindow(context.Background(), job, b, b+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,9 +110,38 @@ func TestEvalWindowFoldsLikeOneBigWindow(t *testing.T) {
 
 	// Out-of-range windows are refused, not silently clamped.
 	for _, bad := range [][2]int{{-1, 1}, {2, 2}, {0, nb + 1}} {
-		if _, err := a.EvalWindow(context.Background(), scope, 31, bad[0], bad[1]); err == nil {
+		if _, err := a.EvalWindow(context.Background(), job, bad[0], bad[1]); err == nil {
 			t.Fatalf("window [%d,%d) accepted with nb=%d", bad[0], bad[1], nb)
 		}
+	}
+}
+
+func TestEvalWindowRefusesMismatchedJob(t *testing.T) {
+	// The drift guard: a worker derives the job's grid itself and refuses
+	// a descriptor that differs in any of the four derived fields, with an
+	// error a worker can tell apart from a failed evaluation.
+	_, job, err := derived(t).sweepJob(ScopeForGroup(noise.MACOutputs), 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := derived(t).EvalWindow(context.Background(), job, 0, 1); err != nil {
+		t.Fatalf("matching job refused: %v", err)
+	}
+	for name, skew := range map[string]func(*SweepJob){
+		"key":      func(j *SweepJob) { j.Key = "" },
+		"evals":    func(j *SweepJob) { j.Evals++ },
+		"nb":       func(j *SweepJob) { j.NB++ },
+		"examples": func(j *SweepJob) { j.Examples-- },
+	} {
+		bad := job
+		skew(&bad)
+		if _, err := derived(t).EvalWindow(context.Background(), bad, 0, 1); !errors.Is(err, ErrJobMismatch) {
+			t.Errorf("%s: EvalWindow = %v, want ErrJobMismatch", name, err)
+		}
+	}
+	// An evaluation that fails is not a mismatch.
+	if _, err := derived(t).EvalWindow(context.Background(), job, 0, job.NB+1); err == nil || errors.Is(err, ErrJobMismatch) {
+		t.Fatalf("out-of-range window: %v, want an error other than ErrJobMismatch", err)
 	}
 }
 

@@ -44,43 +44,45 @@ var PaperNMSweep = []float64{0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.00
 // sits two decades lower, plus the fault-free point.
 var DefaultFaultSweep = []float64{0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0002, 0.0001, 0}
 
-// Options parameterizes an analysis run.
+// Options parameterizes an analysis run. Its JSON form is the options
+// half of a SweepJob on the fleet wire; Workers, which only schedules,
+// stays with each process.
 type Options struct {
 	// NMSweep is the descending noise-magnitude grid; defaults to
 	// PaperNMSweep.
-	NMSweep []float64
+	NMSweep []float64 `json:"nm_sweep"`
 	// NA is the noise average (paper uses 0 for the general case).
-	NA float64
+	NA float64 `json:"na"`
 	// Trials is the number of independent noise seeds averaged per
 	// sweep point.
-	Trials int
+	Trials int `json:"trials"`
 	// Batch is the evaluation batch size.
-	Batch int
+	Batch int `json:"batch"`
 	// Threshold is the tolerable accuracy drop (fraction, e.g. 0.01)
 	// used to mark resilience and set NM budgets.
-	Threshold float64
+	Threshold float64 `json:"threshold"`
 	// Seed drives all injected noise.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Noise selects the injector kind the sweep grid drives: the zero
 	// value is the paper's Gaussian model; the fault kinds (bit-flip,
 	// stuck-at) reinterpret NMSweep as their severity grid (flip
 	// probability, stuck fraction). See noise.Spec.
-	Noise noise.Spec
+	Noise noise.Spec `json:"noise"`
 	// Softmax and Squash name the nonlinearity variants every evaluation
 	// runs under ("" or "exact" is the bit-exact default; see
 	// approx.SoftmaxNames / approx.SquashNames for the approximate
 	// variants). Non-default variants shorten the clean-prefix frontier
 	// to the first affected layer and fold into the checkpoint
 	// fingerprint.
-	Softmax string
-	Squash  string
+	Softmax string `json:"softmax,omitempty"`
+	Squash  string `json:"squash,omitempty"`
 	// MaxEval caps the number of test samples evaluated per sweep point
 	// (0 = all).
-	MaxEval int
+	MaxEval int `json:"max_eval"`
 	// Workers bounds the sweep engine's evaluation goroutines
 	// (0 = runtime.GOMAXPROCS(0)). Scheduling never affects results:
 	// sweeps are bit-identical for any worker count.
-	Workers int
+	Workers int `json:"-"`
 }
 
 // WithDefaults fills unset options with the paper's defaults and

@@ -127,7 +127,7 @@ func TestEvalBackendSurfacesWorkerPanicWithSection(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		a := derived(t)
 		a.Opts.Workers = workers
-		_, nb := a.SweepGrid()
+		nb := batchCount(a)
 		_, err := a.EvalBackend(context.Background(), votesPanic{}, "validate-panic")
 		var jp *JobPanicError
 		if !errors.As(err, &jp) {
@@ -257,7 +257,7 @@ func TestCheckpointWriteTimerCountsPersistedFolds(t *testing.T) {
 	if _, err := a.EvalBackend(ctx, axe.QuantExact{Bits: 8}, "timed-eval"); err != nil {
 		t.Fatal(err)
 	}
-	if _, nb := a.SweepGrid(); folds != 2*nb {
+	if nb := batchCount(a); folds != 2*nb {
 		t.Fatalf("folded %d windows, want %d", folds, 2*nb)
 	}
 	if n := a.Obs.Timer("sweep.checkpoint_write").Count(); n != int64(folds) {
@@ -281,7 +281,7 @@ func TestResumeRejectsImpossibleCheckpointSections(t *testing.T) {
 	filter := noise.ForGroup(noise.MACOutputs)
 	be := axe.QuantExact{Bits: 8}
 	a := derived(t)
-	_, nb := a.SweepGrid()
+	nb := batchCount(a)
 	n, batch := a.Data.TestX.Shape[0], a.Opts.Batch
 	if nb < 3 || n >= nb*batch {
 		t.Fatalf("fixture needs >= 3 batches and a short last one: n=%d nb=%d", n, nb)
@@ -329,7 +329,7 @@ func TestResumeRejectsImpossibleCheckpointSections(t *testing.T) {
 // impossibleSections lists, by what makes each one impossible, fold
 // sections no run over a's evaluation split could have written.
 func impossibleSections(a *Analyzer) map[string]func(evals int) sweepState {
-	_, nb := a.SweepGrid()
+	nb := batchCount(a)
 	n, batch := a.Data.TestX.Shape[0], a.Opts.Batch
 	return map[string]func(evals int) sweepState{
 		"negative count marked done": func(e int) sweepState { return sweepState{Correct: fill(e, -5), BatchesDone: 1, Done: true} },
@@ -374,9 +374,11 @@ func FuzzCheckpointResume(f *testing.F) {
 		f.Fatal(err)
 	}
 	wantSection := fileSections(f, fresh.Checkpoint.Path())[key]
-	evals := len(sweepEvals(fresh.Opts))
-	_, nb := fresh.SweepGrid()
-	n, batch := fresh.Data.TestX.Shape[0], fresh.Opts.Batch
+	_, job, err := fresh.sweepJob(scope, seedBase)
+	if err != nil {
+		f.Fatal(err)
+	}
+	evals, nb, n, batch := job.Evals, job.NB, job.Examples, job.Opts.Batch
 
 	written, err := os.ReadFile(fresh.Checkpoint.Path())
 	if err != nil {
@@ -445,7 +447,7 @@ func FuzzCheckpointResume(f *testing.F) {
 		}
 		rest := make([]int, evals)
 		if loaded.BatchesDone < nb {
-			if rest, err = a.EvalWindow(ctx, scope, seedBase, loaded.BatchesDone, nb); err != nil {
+			if rest, err = a.EvalWindow(ctx, job, loaded.BatchesDone, nb); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -527,7 +529,7 @@ func TestAnalyzeGroupsAndLayersResumeFromCheckpoint(t *testing.T) {
 	if v := b.Obs.Counter("sweep.jobs").Value(); v != 0 {
 		t.Fatalf("resumed analysis evaluated %d sweep jobs, want 0", v)
 	}
-	_, nb := b.SweepGrid()
+	nb := batchCount(b)
 	every := int64((len(groups) + len(layers)) * len(sweepEvals(b.Opts)) * nb)
 	if v := b.Obs.Counter("sweep.resumed_jobs").Value(); v != every {
 		t.Fatalf("resumed analysis skipped %d jobs, want every job of every sweep (%d)", v, every)

@@ -26,7 +26,8 @@ import (
 //     the execution backend, the clean-prefix frontier, the evaluations
 //     (one per noisy (point, trial) for a sweep, a single one for
 //     Evaluate), each job's injector and probe reference, and the
-//     checkpoint section.
+//     checkpoint section. sweepJob lays out a scoped sweep together with
+//     the SweepJob that describes it to a fleet.
 //   - windowJobs evaluates every (evaluation, batch) job of one batch
 //     window into integer correct-counts.
 //   - fold resumes from the checkpointed prefix, takes windows from a
@@ -310,18 +311,13 @@ func (a *Analyzer) prefixActivations(ctx context.Context, p *plan, b0, b1 int) (
 // every job's noise is a pure function of (seed, seedBase, point, trial,
 // batch).
 func (a *Analyzer) Sweep(ctx context.Context, scope SweepScope, clean float64, seedBase uint64) ([]SweepPoint, error) {
-	filter, err := scope.Filter()
+	p, job, err := a.sweepJob(scope, seedBase)
 	if err != nil {
 		return nil, err
 	}
-	p, err := a.sweepPlan(filter, seedBase)
-	if err != nil {
-		return nil, err
-	}
-	p.label = scope.probeLabel()
 	var src windowSource = a.runLocal
 	if a.Fleet != nil {
-		src = a.fleetSource(scope)
+		src = a.fleetSource(job)
 	}
 	correct, err := a.fold(ctx, p, src)
 	if err != nil {

@@ -47,6 +47,16 @@ func derived(t testing.TB) *Analyzer {
 	return &b
 }
 
+// batchCount is a's evaluation batch count under its options, derived
+// the way a sweep's descriptor derives it.
+func batchCount(a *Analyzer) int {
+	_, job, err := a.sweepJob(ScopeForGroup(noise.MACOutputs), 0)
+	if err != nil {
+		panic(err)
+	}
+	return job.NB
+}
+
 func samePoints(t *testing.T, label string, a, b []SweepPoint) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -96,7 +106,7 @@ func TestSweepWindowedMatchesCached(t *testing.T) {
 
 	windowed := derived(t)
 	windowed.windowBatches = 1
-	if _, nb := windowed.SweepGrid(); nb < 2 {
+	if nb := batchCount(windowed); nb < 2 {
 		t.Fatalf("fixture too small to exercise windowing: %d batches", nb)
 	}
 	samePoints(t, "windowed vs cached", want, mustSweep(t, windowed, filter, clean, 4))
@@ -124,7 +134,7 @@ func TestLocalFoldIsOneWindow(t *testing.T) {
 		},
 	} {
 		a := derived(t)
-		_, nb := a.SweepGrid()
+		nb := batchCount(a)
 		if nb < 2 {
 			t.Fatalf("fixture yields %d batches; need >= 2", nb)
 		}

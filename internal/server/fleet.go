@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"redcane/internal/core"
-	"redcane/internal/noise"
 	"redcane/internal/obs"
 )
 
@@ -32,76 +31,22 @@ import (
 //	POST /v1/fleet/release  {"lease_id": id, ...}   → 200 {"status": released|unknown}
 //	GET  /v1/fleet          coordinator fleet state → 200 FleetStatus
 
-// SweepOptions is the wire form of the results-affecting engine options a
-// worker needs to reproduce a window bit-identically. The scheduling knob
-// Workers is deliberately absent — each worker chooses its own, exactly
-// as Options.Fingerprint excludes it.
-type SweepOptions struct {
-	NMSweep   []float64 `json:"nm_sweep"`
-	NA        float64   `json:"na"`
-	Trials    int       `json:"trials"`
-	Batch     int       `json:"batch"`
-	Threshold float64   `json:"threshold"`
-	Seed      uint64    `json:"seed"`
-	MaxEval   int       `json:"max_eval"`
-	// NoiseKind / NoiseBits carry the injector spec of fault campaigns;
-	// Softmax / Squash the nonlinearity variants. All four are empty on
-	// default jobs, so pre-existing coordinators and workers interoperate.
-	NoiseKind string `json:"noise_kind,omitempty"`
-	NoiseBits uint   `json:"noise_bits,omitempty"`
-	Softmax   string `json:"softmax,omitempty"`
-	Squash    string `json:"squash,omitempty"`
-}
-
-func optionsWire(o core.Options) SweepOptions {
-	return SweepOptions{
-		NMSweep: o.NMSweep, NA: o.NA, Trials: o.Trials, Batch: o.Batch,
-		Threshold: o.Threshold, Seed: o.Seed, MaxEval: o.MaxEval,
-		NoiseKind: o.Noise.Kind, NoiseBits: o.Noise.Bits,
-		Softmax: o.Softmax, Squash: o.Squash,
-	}
-}
-
-// CoreOptions resolves the wire options back into engine options; the
-// worker supplies its own worker count.
-func (w SweepOptions) CoreOptions(workers int) core.Options {
-	return core.Options{
-		NMSweep: w.NMSweep, NA: w.NA, Trials: w.Trials, Batch: w.Batch,
-		Threshold: w.Threshold, Seed: w.Seed, MaxEval: w.MaxEval,
-		Noise:   noise.Spec{Kind: w.NoiseKind, Bits: w.NoiseBits},
-		Softmax: w.Softmax, Squash: w.Squash,
-		Workers: workers,
-	}.WithDefaults()
-}
-
-// WireSweep describes one registered sweep to the fleet: everything a
-// worker needs to rebuild the network, dataset and options, plus the
-// coordinator's view of the work grid (Evals, NB) as a drift guard — a
-// worker whose own grid disagrees must refuse the sweep rather than fold
-// wrong counts.
+// WireSweep describes one registered sweep to the fleet: the engine's
+// own descriptor (core.SweepJob: scope, seed namespace, options and the
+// grid the worker must derive identically) plus the fleet identity and
+// the identity of the trained model every worker must rebuild.
 type WireSweep struct {
 	// ID is the sweep's fleet-wide identity: "<job>/<checkpoint key>".
 	ID    string `json:"id"`
 	JobID string `json:"job_id"`
-	// SeedBase namespaces the sweep's RNG streams (noise.StreamSeed).
-	SeedBase uint64          `json:"seed_base"`
-	Scope    core.SweepScope `json:"scope"`
 	// Benchmark / Quick / TrainSeed identify the trained network and
 	// evaluation split: workers train (or load from their weight cache)
 	// the same benchmark at the same seed, which is deterministic, so
 	// every fleet member evaluates the identical model.
-	Benchmark string       `json:"benchmark"`
-	Quick     bool         `json:"quick"`
-	TrainSeed uint64       `json:"train_seed"`
-	Options   SweepOptions `json:"options"`
-	Evals     int          `json:"evals"`
-	NB        int          `json:"nb"`
-	// Examples is the evaluation-set size, which bounds how many examples
-	// any window can hold (the last batch is usually short). The
-	// coordinator uses it to reject completions whose counts could not
-	// have come from an honest evaluation. Zero (a pre-existing
-	// registration) falls back to the whole-batch bound.
-	Examples int `json:"examples,omitempty"`
+	Benchmark string `json:"benchmark"`
+	Quick     bool   `json:"quick"`
+	TrainSeed uint64 `json:"train_seed"`
+	core.SweepJob
 }
 
 // Lease is one issued batch window [B0, B1): the worker evaluates it and
@@ -126,8 +71,9 @@ type renewRequest struct {
 }
 
 // releaseRequest returns a lease before its TTL: a worker that cannot
-// evaluate its window (unresolvable sweep, eval failure) hands it back
-// so another worker picks it up immediately instead of after expiry.
+// evaluate its window (unresolvable sweep, a sweep it derives
+// differently, eval failure) hands it back so another worker picks it up
+// immediately instead of after expiry.
 type releaseRequest struct {
 	LeaseID string `json:"lease_id"`
 	Worker  string `json:"worker,omitempty"`
@@ -290,24 +236,19 @@ func (m *FleetManager) TTL() time.Duration { return m.ttl }
 // returned Fleet registers each sweep under "<jobID>/<sweep key>" and
 // stamps the wire descriptor with the job's benchmark identity.
 func (m *FleetManager) ForJob(jobID, benchmark string, quick bool, trainSeed uint64) core.Fleet {
-	return &jobFleet{m: m, jobID: jobID, benchmark: benchmark, quick: quick, trainSeed: trainSeed}
+	return &jobFleet{m: m, wire: WireSweep{JobID: jobID, Benchmark: benchmark, Quick: quick, TrainSeed: trainSeed}}
 }
 
+// jobFleet holds one job's identity fields of the wire descriptor.
 type jobFleet struct {
-	m         *FleetManager
-	jobID     string
-	benchmark string
-	quick     bool
-	trainSeed uint64
+	m    *FleetManager
+	wire WireSweep
 }
 
 // RunSweep implements core.Fleet.
 func (f *jobFleet) RunSweep(ctx context.Context, job core.SweepJob, start int) (<-chan core.WindowResult, error) {
-	wire := WireSweep{
-		ID: f.jobID + "/" + job.Key, JobID: f.jobID, SeedBase: job.SeedBase,
-		Scope: job.Scope, Benchmark: f.benchmark, Quick: f.quick, TrainSeed: f.trainSeed,
-		Options: optionsWire(job.Opts), Evals: job.Evals, NB: job.NB, Examples: job.Examples,
-	}
+	wire := f.wire
+	wire.ID, wire.SweepJob = f.wire.JobID+"/"+job.Key, job
 	return f.m.runSweep(ctx, wire, start)
 }
 
@@ -459,10 +400,10 @@ func (m *FleetManager) Renew(leaseID, worker string) bool {
 }
 
 // Release returns a leased window to pending before its TTL, so a worker
-// that cannot evaluate it (unresolvable sweep, eval failure) does not
-// leave the window dead until expiry. Idempotent: releasing a lease that
-// already completed, expired, was re-issued, or never existed reports
-// false and changes nothing.
+// that cannot evaluate it (unresolvable sweep, a sweep it derives
+// differently, eval failure) does not leave the window dead until
+// expiry. Idempotent: releasing a lease that already completed, expired,
+// was re-issued, or never existed reports false and changes nothing.
 func (m *FleetManager) Release(leaseID, worker string) bool {
 	now := m.now()
 	m.mu.Lock()
@@ -522,27 +463,15 @@ func (m *FleetManager) Complete(req completeRequest) (string, error) {
 			req.B0, req.B1, len(req.Correct), fs.wire.Evals)
 	}
 	// Correct-counts are numbers of correctly-classified examples in the
-	// window, so each must lie in [0, window example count]. A count
-	// outside that range cannot come from an honest evaluation — folding
-	// it would silently corrupt the sweep's accuracy, so reject it before
-	// it reaches a checkpoint. The bound needs the batch size to exist;
-	// negatives are impossible regardless.
-	maxCorrect := -1
-	if batch := fs.wire.Options.Batch; batch > 0 {
-		maxCorrect = (req.B1 - req.B0) * batch
-		if fs.wire.Examples > 0 {
-			if hi := fs.wire.Examples - req.B0*batch; hi < maxCorrect {
-				maxCorrect = hi
-			}
-		}
-	}
+	// window, so each must lie in [0, window example count]: a whole batch,
+	// or what the split has left for the short tail batch. A count outside
+	// that range cannot come from an honest evaluation — folding it would
+	// silently corrupt the sweep's accuracy, so reject it before it
+	// reaches a checkpoint.
+	batch := fs.wire.Opts.Batch
+	maxCorrect := min(batch, fs.wire.Examples-req.B0*batch)
 	for i, c := range req.Correct {
-		switch {
-		case c < 0:
-			m.obs.Metrics().Counter("fleet.completions.out_of_range").Inc()
-			return "", fmt.Errorf("fleet: window [%d, %d) count[%d] = %d is negative",
-				req.B0, req.B1, i, c)
-		case maxCorrect >= 0 && c > maxCorrect:
+		if c < 0 || c > maxCorrect {
 			m.obs.Metrics().Counter("fleet.completions.out_of_range").Inc()
 			return "", fmt.Errorf("fleet: window [%d, %d) count[%d] = %d out of range [0, %d]",
 				req.B0, req.B1, i, c, maxCorrect)

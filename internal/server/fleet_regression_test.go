@@ -23,7 +23,7 @@ import (
 // holds 10 examples and the tail window [1,2) only 2.
 func boundedWireSweep(id string) WireSweep {
 	ws := testWireSweep(id, 1, 2)
-	ws.Options.Batch = 10
+	ws.Opts.Batch = 10
 	ws.Examples = 12
 	return ws
 }
@@ -76,21 +76,6 @@ func TestFleetCompleteRejectsOutOfRangeCounts(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("folded %d windows, want 2", n)
-	}
-
-	// Sweeps registered without a batch size (pre-existing wire shape)
-	// keep the legacy behavior: no upper bound, negatives still rejected.
-	ch2, err := m.runSweep(context.Background(), testWireSweep("j1/legacy", 1, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Complete(completeRequest{SweepID: "j1/legacy", B0: 0, B1: 1, Correct: []int{-2}}); err == nil {
-		t.Fatal("negative count accepted on a batchless sweep")
-	}
-	if status, err := m.Complete(completeRequest{SweepID: "j1/legacy", B0: 0, B1: 1, Correct: []int{999}}); err != nil || status != CompleteOK {
-		t.Fatalf("batchless complete: %q, %v", status, err)
-	}
-	for range ch2 {
 	}
 }
 

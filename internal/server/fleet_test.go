@@ -49,12 +49,12 @@ func testFleetManager(ttl time.Duration) (*FleetManager, *fakeClock, *obs.Obs) {
 	return m, fc, o
 }
 
+// testWireSweep is a registration of nb full batches of 32 examples.
 func testWireSweep(id string, evals, nb int) WireSweep {
-	return WireSweep{
-		ID: id, JobID: "j000001", SeedBase: 100,
-		Scope: core.SweepScope{Group: noise.MACOutputs.String()},
-		Evals: evals, NB: nb,
-	}
+	return WireSweep{ID: id, JobID: "j000001", SweepJob: core.SweepJob{
+		Key: "sweep-100", SeedBase: 100, Scope: core.ScopeForGroup(noise.MACOutputs),
+		Opts: core.Options{Batch: 32}, Evals: evals, NB: nb, Examples: 32 * nb,
+	}}
 }
 
 func counts(evals, b0 int) []int {
@@ -135,7 +135,7 @@ func TestFleetSweepLeasesOneBatchPerWindow(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		job := core.SweepJob{
 			Key: "sweep-7", SeedBase: 7, Scope: core.ScopeForGroup(noise.MACOutputs),
-			Evals: 1, NB: nb, Examples: 3 * nb,
+			Opts: core.Options{Batch: 3}, Evals: 1, NB: nb, Examples: 3 * nb,
 		}
 		if _, err := m.ForJob("j000001", "capsnet-mnist-like", true, 42).RunSweep(ctx, job, start); err != nil {
 			t.Fatal(err)
@@ -425,7 +425,7 @@ func fixtureWindows(t *testing.T) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nb := a.SweepGrid()
+	nb := (a.Data.TestX.Shape[0] + a.Opts.Batch - 1) / a.Opts.Batch
 	return len(noise.Groups()) * nb
 }
 
@@ -492,16 +492,11 @@ func fleetBaseline(t *testing.T) string {
 // fixtureResolve is the worker-side Resolve over the same fixture;
 // delay throttles each lease to give tests time to interrupt mid-run.
 func fixtureResolve(delay time.Duration) func(WireSweep) (*core.Analyzer, error) {
-	return func(ws WireSweep) (*core.Analyzer, error) {
+	return func(WireSweep) (*core.Analyzer, error) {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		a, err := fleetFixtureAnalyzer()
-		if err != nil {
-			return nil, err
-		}
-		a.Opts = ws.Options.CoreOptions(1)
-		return a, nil
+		return fleetFixtureAnalyzer()
 	}
 }
 

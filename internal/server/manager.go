@@ -70,15 +70,10 @@ type RunFunc func(ctx context.Context, spec JobSpec, jobDir string, o *obs.Obs) 
 
 // Config parameterizes the service.
 type Config struct {
-	// StateDir roots all persistence: the shared weight cache, and under
-	// jobs/<id>/ each job's spec, checkpoints and artifacts. Required
-	// unless Store is supplied (a custom store still wants StateDir for
-	// the weight cache and the drain metrics snapshot).
+	// StateDir roots all persistence: the shared weight cache, the drain
+	// metrics snapshot, and under jobs/<id>/ each job's spec, checkpoints
+	// and artifacts. Required.
 	StateDir string
-	// Store overrides job persistence (manifests, artifacts, working
-	// dirs). Nil uses the directory store over StateDir — the layout the
-	// service always had.
-	Store JobStore
 	// Auth is the API-key table. Nil runs the anonymous single-tenant
 	// mode: no credentials, no per-tenant limits.
 	Auth *Auth
@@ -148,7 +143,7 @@ type jobFile struct {
 type Server struct {
 	cfg     Config
 	obs     *obs.Obs
-	store   JobStore
+	store   *DirStore
 	auth    *Auth
 	handler *serverHandler
 	fleet   *FleetManager
@@ -172,7 +167,7 @@ type Server struct {
 // persisted jobs (they resume from their checkpoints) and scheduling
 // them immediately.
 func New(cfg Config) (*Server, error) {
-	if cfg.StateDir == "" && cfg.Store == nil {
+	if cfg.StateDir == "" {
 		return nil, errors.New("server: Config.StateDir is required")
 	}
 	if cfg.Slots <= 0 {
@@ -188,12 +183,9 @@ func New(cfg Config) (*Server, error) {
 	if o == nil {
 		o = obs.New(obs.Off, nil) // metrics registry only
 	}
-	store := cfg.Store
-	if store == nil {
-		var err error
-		if store, err = NewDirStore(cfg.StateDir, o); err != nil {
-			return nil, err
-		}
+	store, err := NewDirStore(cfg.StateDir, o)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg: cfg, obs: o, store: store, auth: cfg.Auth,
@@ -582,12 +574,8 @@ func (s *Server) writeTrace(id string, tr *obs.Trace) error {
 
 // writeMetricsSnapshot flushes the process metrics registry to
 // <state>/metrics.json, reporting the close error (a full disk must not
-// masquerade as a successful flush). Servers without a state directory
-// (custom store, no StateDir) have nowhere to flush and skip it.
+// masquerade as a successful flush).
 func (s *Server) writeMetricsSnapshot() error {
-	if s.cfg.StateDir == "" {
-		return nil
-	}
 	path := filepath.Join(s.cfg.StateDir, "metrics.json")
 	f, err := os.Create(path)
 	if err != nil {

@@ -3,48 +3,16 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"redcane/internal/obs"
 )
 
-// JobStore is the persistence seam of the job manager: everything the
-// service durably knows about a job — its manifest (spec + lifecycle
-// state) and its result artifacts — moves through this interface, so job
-// state is not welded to the local filesystem. The manager additionally
-// asks the store for a private per-job working directory; analysis
-// checkpoints and scratch state are file-shaped by design (the
-// checkpoint package is what makes resume work), so even a memory store
-// hands out real directories, it just treats them as disposable.
-//
-// Two implementations ship: DirStore (the production store, one
-// directory per job under <state>/jobs/, exactly the on-disk layout the
-// single-tenant server always had) and MemStore (manifests and
-// artifacts in process memory, for tests and ephemeral servers).
-type JobStore interface {
-	// Load returns every persisted job manifest, in no particular
-	// order. Corrupt or alien entries are skipped, not fatal.
-	Load() ([]jobFile, error)
-	// Put durably records one job's manifest, atomically per job. The
-	// same ID overwrites.
-	Put(jf jobFile) error
-	// Dir returns the job's private working directory (checkpoints,
-	// scratch), creating it if needed. The directory's base name is the
-	// job ID — job executors key their fleet registrations off it.
-	Dir(id string) (string, error)
-	// PutArtifact persists one named result artifact of a job.
-	PutArtifact(id, name string, data []byte) error
-	// Artifact reads one artifact back; a missing artifact reports an
-	// error wrapping fs.ErrNotExist.
-	Artifact(id, name string) ([]byte, error)
-}
-
-// DirStore is the directory-backed JobStore: jobs/<id>/job.json beside
-// the job's checkpoints and artifacts, under one state root. It is the
-// layout `redcane serve` has always used, now behind the store seam.
+// DirStore is the job manager's persistence: everything the service
+// durably knows about a job — its manifest (spec + lifecycle state), its
+// checkpoints and its result artifacts — lives in jobs/<id>/ under one
+// state root.
 type DirStore struct {
 	root string
 	obs  *obs.Obs
@@ -63,10 +31,10 @@ func NewDirStore(stateDir string, o *obs.Obs) (*DirStore, error) {
 	return &DirStore{root: root, obs: o}, nil
 }
 
-// Load implements JobStore: every readable jobs/<id>/job.json whose ID
-// matches its directory name. Unreadable or corrupt manifests are
-// warned about and skipped — one damaged job must not take the whole
-// service down.
+// Load returns every readable jobs/<id>/job.json whose ID matches its
+// directory name, in no particular order. Unreadable or corrupt
+// manifests are warned about and skipped — one damaged job must not take
+// the whole service down.
 func (d *DirStore) Load() ([]jobFile, error) {
 	entries, err := os.ReadDir(d.root)
 	if err != nil {
@@ -93,7 +61,8 @@ func (d *DirStore) Load() ([]jobFile, error) {
 	return out, nil
 }
 
-// Put implements JobStore (crash-safe: temp + rename).
+// Put records one job's manifest, crash-safe (temp + rename); the same
+// ID overwrites.
 func (d *DirStore) Put(jf jobFile) error {
 	dir := filepath.Join(d.root, jf.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -110,7 +79,9 @@ func (d *DirStore) Put(jf jobFile) error {
 	return os.Rename(tmp, filepath.Join(dir, "job.json"))
 }
 
-// Dir implements JobStore.
+// Dir returns the job's working directory (checkpoints, scratch),
+// creating it if needed. Its base name is the job ID, which job executors
+// key their fleet registrations off.
 func (d *DirStore) Dir(id string) (string, error) {
 	dir := filepath.Join(d.root, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -119,97 +90,13 @@ func (d *DirStore) Dir(id string) (string, error) {
 	return dir, nil
 }
 
-// PutArtifact implements JobStore.
+// PutArtifact persists one named result artifact of a job.
 func (d *DirStore) PutArtifact(id, name string, data []byte) error {
 	return os.WriteFile(filepath.Join(d.root, id, name), data, 0o644)
 }
 
-// Artifact implements JobStore.
+// Artifact reads one artifact back; a missing artifact reports an error
+// wrapping fs.ErrNotExist.
 func (d *DirStore) Artifact(id, name string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(d.root, id, name))
-}
-
-// MemStore is the in-memory JobStore: manifests and artifacts live in
-// process maps and vanish with the process. Working directories are
-// still real (under a scratch root) because checkpoints are files, but
-// nothing read back through the store touches them. Tests use it to run
-// the full manager without a state directory; it also demonstrates that
-// nothing in the manager depends on the dir layout.
-type MemStore struct {
-	mu        sync.Mutex
-	scratch   string // lazily created root for Dir
-	manifests map[string]jobFile
-	artifacts map[string]map[string][]byte
-}
-
-// NewMemStore builds an empty memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{
-		manifests: map[string]jobFile{},
-		artifacts: map[string]map[string][]byte{},
-	}
-}
-
-// Load implements JobStore.
-func (m *MemStore) Load() ([]jobFile, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]jobFile, 0, len(m.manifests))
-	for _, jf := range m.manifests {
-		out = append(out, jf)
-	}
-	return out, nil
-}
-
-// Put implements JobStore.
-func (m *MemStore) Put(jf jobFile) error {
-	m.mu.Lock()
-	m.manifests[jf.ID] = jf
-	m.mu.Unlock()
-	return nil
-}
-
-// Dir implements JobStore: a scratch directory per job, created under a
-// lazily-allocated temp root.
-func (m *MemStore) Dir(id string) (string, error) {
-	m.mu.Lock()
-	if m.scratch == "" {
-		root, err := os.MkdirTemp("", "redcane-memstore-")
-		if err != nil {
-			m.mu.Unlock()
-			return "", err
-		}
-		m.scratch = root
-	}
-	root := m.scratch
-	m.mu.Unlock()
-	dir := filepath.Join(root, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	return dir, nil
-}
-
-// PutArtifact implements JobStore.
-func (m *MemStore) PutArtifact(id, name string, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	files, ok := m.artifacts[id]
-	if !ok {
-		files = map[string][]byte{}
-		m.artifacts[id] = files
-	}
-	files[name] = append([]byte(nil), data...)
-	return nil
-}
-
-// Artifact implements JobStore.
-func (m *MemStore) Artifact(id, name string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.artifacts[id][name]
-	if !ok {
-		return nil, fmt.Errorf("artifact %s/%s: %w", id, name, fs.ErrNotExist)
-	}
-	return append([]byte(nil), data...), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -369,52 +368,6 @@ func TestTenantFairness(t *testing.T) {
 	}
 }
 
-// TestMemStoreLifecycle runs the whole job lifecycle against the
-// in-memory store: no StateDir, manifests and artifacts never touch the
-// real jobs/ layout, yet every HTTP surface behaves identically.
-func TestMemStoreLifecycle(t *testing.T) {
-	art := Artifacts{Text: "mem\n", CSV: []byte("a\n1\n")}
-	s, err := New(Config{Store: NewMemStore(), Slots: 1, RunJob: instantRun(art)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-
-	st, resp := postJob(t, ts, `{"kind":"group-sweep"}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	waitState(t, ts, st.ID, StateDone)
-
-	body, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(body.Body)
-	body.Body.Close()
-	if body.StatusCode != http.StatusOK || string(data) != art.Text {
-		t.Fatalf("memstore result: HTTP %d, body %q", body.StatusCode, data)
-	}
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=csv", nil); code != http.StatusOK {
-		t.Fatalf("memstore csv result: HTTP %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=json", nil); code != http.StatusNotFound {
-		t.Fatalf("absent artifact from memstore: HTTP %d", code)
-	}
-	// The trace is a store artifact too, so it serves without a state dir.
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/trace", nil); code != http.StatusOK {
-		t.Fatalf("memstore trace: HTTP %d", code)
-	}
-}
-
 // TestClientRoundTrip drives the typed client against a live server:
 // submit, wait, result, list, health — including auth and APIError
 // statuses.
@@ -444,6 +397,11 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil || string(data) != `{"ok":true}` {
 		t.Fatalf("Result = %q, %v", data, err)
 	}
+	// A format the job did not produce answers 404.
+	var apiErr *APIError
+	if _, err := cl.Result(ctx, st.ID, "csv"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("absent csv artifact: err = %v, want a 404 APIError", err)
+	}
 	list, err := cl.List(ctx)
 	if err != nil || len(list) != 1 || list[0].ID != st.ID {
 		t.Fatalf("List = %+v, %v", list, err)
@@ -456,7 +414,6 @@ func TestClientRoundTrip(t *testing.T) {
 	// A wrong key surfaces as a typed APIError with the 401 status.
 	bad := NewClient(ts.URL, "wrong")
 	_, err = bad.Submit(ctx, JobSpec{Job: experiments.Job{Kind: "group-sweep"}})
-	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnauthorized {
 		t.Fatalf("bad-key Submit err = %v", err)
 	}

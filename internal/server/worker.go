@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,16 +35,17 @@ type Worker struct {
 	Client *http.Client
 	// Obs receives the worker's telemetry; nil disables it.
 	Obs *obs.Obs
-	// Resolve builds the analyzer that evaluates one sweep's windows:
-	// network, dataset and the wire options. The default
-	// (ExperimentResolver) trains or cache-loads the named benchmark; in-
-	// process tests substitute synthetic fixtures. Resolvers are called
-	// once per lease; cache the expensive parts across calls.
+	// Resolve builds the analyzer that evaluates one sweep's windows: the
+	// network and dataset of the sweep's benchmark. EvalWindow takes the
+	// options from the sweep itself. The default (ExperimentResolver)
+	// trains or cache-loads the named benchmark; in-process tests
+	// substitute synthetic fixtures. Resolvers are called once per lease;
+	// cache the expensive parts across calls.
 	Resolve func(ws WireSweep) (*core.Analyzer, error)
 
-	// bad remembers sweeps this worker cannot run (resolve failure, grid
-	// mismatch) so it reports each once and leaves their windows to
-	// healthier fleet members instead of spinning on them.
+	// bad remembers sweeps this worker cannot run (resolve failure, a job
+	// it derives differently) so it reports each once and leaves their
+	// windows to healthier fleet members instead of spinning on them.
 	bad map[string]bool
 }
 
@@ -117,18 +119,8 @@ func (wk *Worker) runLease(ctx context.Context, lease Lease) bool {
 		return false
 	}
 	a, err := wk.Resolve(ws)
-	if err == nil {
-		evals, nb := a.SweepGrid()
-		if evals != ws.Evals || nb != ws.NB {
-			err = fmt.Errorf("work grid mismatch: coordinator says %d evals × %d batches, this worker derives %d × %d",
-				ws.Evals, ws.NB, evals, nb)
-		}
-	}
 	if err != nil {
-		wk.bad[ws.ID] = true
-		o.Error("cannot run sweep; releasing its windows to the fleet",
-			obs.F("sweep", ws.ID), obs.F("err", err))
-		wk.release(ctx, lease)
+		wk.refuse(ctx, lease, err)
 		return false
 	}
 
@@ -162,9 +154,13 @@ func (wk *Worker) runLease(ctx context.Context, lease Lease) bool {
 	}
 
 	t0 := time.Now()
-	correct, err := a.EvalWindow(wctx, ws.Scope, ws.SeedBase, lease.B0, lease.B1)
+	correct, err := a.EvalWindow(wctx, ws.SweepJob, lease.B0, lease.B1)
 	cancel()
 	hb.Wait()
+	if errors.Is(err, core.ErrJobMismatch) {
+		wk.refuse(ctx, lease, err)
+		return false
+	}
 	if err != nil {
 		if ctx.Err() == nil && wctx.Err() == nil {
 			o.Error("window evaluation failed; releasing it",
@@ -181,6 +177,15 @@ func (wk *Worker) runLease(ctx context.Context, lease Lease) bool {
 		obs.F("dur", time.Since(t0).Round(time.Millisecond)))
 	wk.complete(ctx, lease, correct)
 	return true
+}
+
+// refuse marks a sweep this worker cannot run as bad, says why once, and
+// releases the lease it came with.
+func (wk *Worker) refuse(ctx context.Context, lease Lease, err error) {
+	wk.bad[lease.Sweep.ID] = true
+	wk.Obs.Error("cannot run sweep; releasing its windows to the fleet",
+		obs.F("sweep", lease.Sweep.ID), obs.F("err", err))
+	wk.release(ctx, lease)
 }
 
 // lease requests the next window; ok=false means no work right now.
@@ -275,11 +280,11 @@ func (wk *Worker) post(ctx context.Context, path string, body, out any) (int, er
 // trained benchmark through the experiment runner — training is
 // goroutine-free and therefore deterministic, so every fleet member of
 // one GOARCH reproduces bit-identical weights from (benchmark, quick,
-// train seed), or loads them from a shared weight-cache dir — and pairs
-// it with the wire options. Resolved benchmarks are cached across leases.
-// Members of different GOARCHes train different weights (a 386 build's
-// math.Exp differs in the last bits), and nothing in WireSweep detects
-// such a mixed fleet.
+// train seed), or loads them from a shared weight-cache dir — with
+// workers evaluation goroutines. Resolved benchmarks are cached across
+// leases. Members of different GOARCHes train different weights (a 386
+// build's math.Exp differs in the last bits), and nothing in WireSweep
+// detects such a mixed fleet.
 func ExperimentResolver(dir string, quickOverride *bool, workers int, o *obs.Obs) func(WireSweep) (*core.Analyzer, error) {
 	type trainedKey struct {
 		benchmark string
@@ -317,10 +322,7 @@ func ExperimentResolver(dir string, quickOverride *bool, workers int, o *obs.Obs
 			cache[key] = t
 			mu.Unlock()
 		}
-		return &core.Analyzer{
-			Net: t.Net, Data: t.Data, Obs: o,
-			Opts: ws.Options.CoreOptions(workers),
-		}, nil
+		return &core.Analyzer{Net: t.Net, Data: t.Data, Obs: o, Opts: core.Options{Workers: workers}}, nil
 	}
 }
 

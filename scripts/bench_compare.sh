@@ -4,8 +4,8 @@
 #
 #   scripts/bench_compare.sh [old.json new.json]
 #
-# Without arguments the two newest BENCH_*.json in the repo root are
-# compared (by mtime; the older one is the baseline). Benchmarks present
+# Without arguments the two highest-numbered BENCH_<n>.json in the repo
+# root are compared (the lower number is the baseline). Benchmarks present
 # in only one snapshot are reported but never fail the check, so adding
 # or retiring a benchmark doesn't break the comparison. CI runs this as a
 # non-blocking step: a regression flags the build without failing it.
@@ -17,14 +17,15 @@ if [ $# -eq 2 ]; then
     old=$1
     new=$2
 elif [ $# -eq 0 ]; then
-    # Newest first; `ls -t` breaks mtime ties by name order.
-    set -- $(ls -t BENCH_*.json 2>/dev/null | head -2)
+    # By the number in the name, not by mtime: a git checkout can give
+    # snapshots equal mtimes.
+    set -- $(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -2)
     if [ $# -lt 2 ]; then
-        echo "bench_compare: need two BENCH_*.json snapshots, found $#" >&2
+        echo "bench_compare: need two BENCH_<n>.json snapshots, found $#" >&2
         exit 2
     fi
-    new=$1
-    old=$2
+    old=BENCH_$1.json
+    new=BENCH_$2.json
 else
     echo "usage: $0 [old.json new.json]" >&2
     exit 2
